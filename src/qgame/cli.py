@@ -53,12 +53,6 @@ from .walk import survival_empirical, survival_model, walk_steps_batch
 _BREAKER_CHOICES = ("absent", "I", "NOT", "qutrojan")
 
 
-def _check_from_verify(record) -> CheckRecord:
-    return CheckRecord(name=record.name, status=record.status,
-                       deviation=record.deviation, tolerance=record.tolerance,
-                       detail=record.detail)
-
-
 def cmd_verify(args) -> Report:
     gates = GateSet()
     if args.corrupt:
@@ -77,8 +71,7 @@ def cmd_verify(args) -> Report:
     config = {"seed": args.seed, "corrupt": args.corrupt or 0.0}
     if args.only is not None:
         config["only"] = args.only
-    return Report("verify", config, [_check_from_verify(r) for r in records],
-                  tables)
+    return Report("verify", config, records, tables)
 
 
 def cmd_newcomb(args) -> Report:
@@ -185,6 +178,16 @@ def cmd_walk(args) -> Report:
     return Report("walk", config, checks, {"survival": table})
 
 
+def _number(payload: dict, key: str, path: str, kind=float, default=None):
+    """One numeric field of a strategy file; a bad value names the file and field."""
+    value = payload.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"{path}: field {key!r} must be a number, got {value!r}") from None
+
+
 def _load_strategy(path: str, grid_override: int | None):
     try:
         text = Path(path).read_text()
@@ -205,10 +208,11 @@ def _load_strategy(path: str, grid_override: int | None):
     for key in ("q_min", "q_max", "n_points"):
         if key not in payload:
             raise ValidationError(f"{path}: missing grid field {key!r}")
-    n_points = int(grid_override or payload["n_points"])
-    grid = GridSpec(float(payload["q_min"]), float(payload["q_max"]), n_points)
-    return make_gaussian_strategy(float(payload.get("mean", 0.0)),
-                                  float(payload.get("spread", 1.0)), grid,
+    n_points = int(grid_override or _number(payload, "n_points", path, int))
+    grid = GridSpec(_number(payload, "q_min", path), _number(payload, "q_max", path),
+                    n_points)
+    return make_gaussian_strategy(_number(payload, "mean", path, default=0.0),
+                                  _number(payload, "spread", path, default=1.0), grid,
                                   center=bool(payload.get("center", True)))
 
 

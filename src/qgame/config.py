@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 
+from .errors import ValidationError
+
 # Tolerance ladder.  Algebraic identities between constant matrices are held
 # to ATOL_ALGEBRA; anything built from a chain of projections and gates gets
 # ATOL_CIRCUIT; quadrature on sampled grids gets ATOL_QUAD.
@@ -19,16 +21,20 @@ _MAX_QUBITS_ENV = "QGAME_MAX_QUBITS"
 
 
 def max_qubits() -> int:
-    """Current qubit budget, read from QGAME_MAX_QUBITS if set."""
+    """Current qubit budget, read from QGAME_MAX_QUBITS if set.
+
+    A value that is not a positive integer raises ValidationError, which is
+    also a ValueError.
+    """
     raw = os.environ.get(_MAX_QUBITS_ENV)
     if raw is None:
         return DEFAULT_MAX_QUBITS
     try:
         value = int(raw)
     except ValueError as exc:
-        raise ValueError(f"{_MAX_QUBITS_ENV} must be an integer, got {raw!r}") from exc
+        raise ValidationError(f"{_MAX_QUBITS_ENV} must be an integer, got {raw!r}") from exc
     if value < 1:
-        raise ValueError(f"{_MAX_QUBITS_ENV} must be positive, got {value}")
+        raise ValidationError(f"{_MAX_QUBITS_ENV} must be positive, got {value}")
     return value
 
 

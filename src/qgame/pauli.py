@@ -9,6 +9,7 @@ through floats.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product as _iter_product
 
@@ -114,6 +115,23 @@ class PauliTag:
         return prefix + word
 
 
+# Word tables are kept up to this width: 4**4 words of 16 x 16 is 1 MB,
+# while wider tables grow 16-fold per wire, so wider words are built lazily.
+_CACHED_WIDTH = 4
+
+
+def _iter_words(n: int):
+    """(letters, matrix, conjugate transpose) of every n-letter word, in order."""
+    for letters in _iter_product(LETTERS, repeat=n):
+        word = PauliTag(letters).matrix()
+        yield letters, word, word.conj().T
+
+
+@functools.lru_cache(maxsize=None)  # called for widths up to _CACHED_WIDTH only
+def _word_table(n: int) -> tuple:
+    return tuple(_iter_words(n))
+
+
 def match_pauli_word(mat: np.ndarray, atol: float = 1e-10) -> tuple[tuple[str, ...], complex] | None:
     """Identify ``mat`` as scalar * (tensor word of Pauli letters).
 
@@ -127,9 +145,8 @@ def match_pauli_word(mat: np.ndarray, atol: float = 1e-10) -> tuple[tuple[str, .
     if mat.shape != (dim, dim) or 2**n != dim:
         raise ValidationError(f"matrix shape {mat.shape} is not a qubit operator")
     scale = max(float(np.max(np.abs(mat))), 1e-300)
-    for letters in _iter_product(LETTERS, repeat=n):
-        word = PauliTag(letters).matrix()
-        coeff = complex(np.trace(word.conj().T @ mat) / dim)
+    for letters, word, word_h in _word_table(n) if n <= _CACHED_WIDTH else _iter_words(n):
+        coeff = complex(np.trace(word_h @ mat) / dim)
         if np.max(np.abs(mat - coeff * word)) <= atol * scale:
             return letters, coeff
     return None

@@ -34,6 +34,11 @@ class CheckRecord:
         if self.status not in _STATUSES:
             raise ValueError(f"status must be one of {_STATUSES}, got {self.status!r}")
 
+    @property
+    def passed(self) -> bool:
+        """Whether the check counts as passing; info rows never fail."""
+        return self.status != "fail"
+
 
 @dataclass(frozen=True)
 class Table:
@@ -58,7 +63,7 @@ class Report:
     wall_time_s: float | None = None
 
     def exit_code(self) -> int:
-        return 1 if any(c.status == "fail" for c in self.checks) else 0
+        return 0 if all(c.passed for c in self.checks) else 1
 
     def to_payload(self) -> dict:
         payload = {

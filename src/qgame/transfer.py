@@ -1,46 +1,50 @@
 """Measurement-driven gate synthesis on dense registers.
 
 Every construction here is a short chain of binary measurements on a source
-wire and a fresh ancilla.  Chains are enumerated branch by branch; each
-branch acts on the logical input as a fixed linear map, and that map always
-factors as (positive scalar) x (power of i) x (Pauli word) x (target gate).
-The Pauli word is the reported byproduct; a random walk over Pauli words
-(see :mod:`qgame.walk`) undoes it.
+wire and a fresh ancilla, declared once as data in ``_CHAINS``: its steps on
+a canonical register, the wires the input enters on, the wire measured away
+and the gate it implements.  One runner, ``_run_chain``, walks any step list
+branch by branch, +1 outcomes before -1 at every fork; branches share no
+mutable state, so enumeration is reproducible.  The public entry points
+only check the ancilla, pick a chain and hand it to the runner.
 
-Branches are produced in a fixed order (+1 outcomes before -1 at every
-fork) and never share mutable state, so enumeration is reproducible and
-trivially parallelizable.
+Each branch acts on the logical input as a fixed linear map that factors as
+(positive scalar) x (power of i) x (Pauli word) x (target gate).  The Pauli
+word is the reported byproduct; a random walk over Pauli words (see
+:mod:`qgame.walk`) undoes it.  A chain's byproduct table depends only on the
+chain and the gates it reads, so it is computed once per gate set and cached.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ATOL_CIRCUIT, PROB_EPS
+from .config import ATOL_ALGEBRA, ATOL_CIRCUIT, PROB_EPS
 from .errors import QGameError, ValidationError
-from .gates import (
-    DEFAULT_GATES,
-    GateSet,
-    OBS_DIAG,
-    OBS_X,
-    OBS_X_MINUS_SECOND,
-    OBS_X_PRIME,
-    OBS_X_SECOND,
-    Observable,
-    T,
-)
-from .measure import Branch, apply_matrix, partial_inner
-from .pauli import PauliTag, match_pauli_word
-from .states import QState
+from .gates import (CNOT, DEFAULT_GATES, I2, OBS_DIAG, OBS_X, OBS_X_MINUS_SECOND, OBS_X_PRIME,
+                    OBS_X_SECOND, SIGMA_X, SIGMA_Y, SIGMA_Z, GateSet, Observable)
+from .measure import Branch, apply_matrix, measure, partial_inner
+from .pauli import PauliTag, match_pauli_word, tag_from_scalar
+from .report import CheckRecord
+from .states import QState, equal_up_to_global_phase, random_state
 
 _DISCARD_MASS_ATOL = 1e-12
+
+# Joint words on a wire pair, first letter on the first wire.
+_XZ = OBS_X.tensor(OBS_X_PRIME)
+_ZX = OBS_X_PRIME.tensor(OBS_X)
+_XX = OBS_X.tensor(OBS_X)
+_ZZ = OBS_X_PRIME.tensor(OBS_X_PRIME)
 
 
 @dataclass(frozen=True)
 class GateStep:
-    gate: np.ndarray
+    gate: np.ndarray | str  # a string names a GateSet field, read when the chain runs
     wires: tuple[int, ...]
 
 
@@ -51,26 +55,19 @@ class MeasureStep:
 
 
 @dataclass(frozen=True)
-class TransferOutcome:
+class TransferOutcome(Branch):
     """One branch of a synthesis chain after the consumed wire is dropped."""
 
-    outcomes: tuple[tuple[str, int], ...]
-    probability: float
-    state: QState
     byproduct: PauliTag
     branch_map: np.ndarray
 
-    @property
-    def signs(self) -> tuple[int, ...]:
-        return tuple(sign for _, sign in self.outcomes)
 
-
-def _run_chain(vec: np.ndarray, n: int, steps, mode: str, rng):
+def _run_chain(vec: np.ndarray, n: int, steps, mode: str, rng, consumed=None):
     """Walk a step chain, branching at measurements.
 
-    Returns (signs, unnormalized amplitudes) pairs; the squared norm of each
-    vector is that branch's probability.  Sample mode follows one path drawn
-    with the conditional outcome laws.
+    Returns (signs, mass, unnormalized amplitudes) per branch, the mass being
+    its probability.  ``consumed = (wire, k)`` drops ``wire``, which the k-th
+    measurement left in an eigenstate.  Sample mode follows one drawn path.
     """
     if mode not in ("enumerate", "sample"):
         raise ValidationError(f"mode must be 'enumerate' or 'sample', got {mode!r}")
@@ -96,77 +93,144 @@ def _run_chain(vec: np.ndarray, n: int, steps, mode: str, rng):
                 children = [children[pick]]
             forked.extend((s, w) for s, w, _ in children)
         paths = forked
-    return paths
-
-
-def _discard(vec: np.ndarray, n: int, wire: int, eigvec: np.ndarray) -> np.ndarray:
-    """Drop a wire known to sit in ``eigvec``; bail out if it does not."""
-    out = partial_inner(vec, eigvec, wire, n)
-    mass_in = float(np.vdot(vec, vec).real)
-    mass_out = float(np.vdot(out, out).real)
-    if abs(mass_out - mass_in) > _DISCARD_MASS_ATOL * max(mass_in, 1e-30):
-        raise ValidationError(
-            f"wire {wire} is still entangled with the register "
-            f"(mass {mass_in:.3e} -> {mass_out:.3e}); cannot discard it"
-        )
+    measures = [s for s in steps if isinstance(s, MeasureStep)]
+    out = []
+    for signs, v in paths:
+        mass = float(np.vdot(v, v).real)
+        if consumed is not None:
+            wire, k = consumed
+            v = partial_inner(v, measures[k].obs.eigenvector(signs[k]), wire, n)
+            kept = float(np.vdot(v, v).real)
+            if abs(kept - mass) > _DISCARD_MASS_ATOL * max(mass, 1e-30):
+                raise ValidationError(
+                    f"wire {wire} is still entangled with the register "
+                    f"(mass {mass:.3e} -> {kept:.3e}); cannot discard it")
+        out.append((signs, mass, v))
     return out
+
+
+def _branches(state: QState, steps, mode, rng, package, consumed=None):
+    """Each branch on the caller's register as ``package(signs, prob, state)``."""
+    out = [package(signs, mass, QState(v / np.sqrt(mass)))
+           for signs, mass, v in _run_chain(state.amplitudes, state.n_qubits, steps,
+                                            mode, rng, consumed)]
+    return out[0] if mode == "sample" else out
 
 
 @dataclass(frozen=True)
 class _Chain:
-    """A synthesis chain on a canonical register plus its bookkeeping."""
+    """A synthesis chain on a canonical register of ``len(wires)`` qubits, whose
+    wires are listed in the order its public entry point takes them.  Gates and
+    targets named by a string are read from the caller's GateSet."""
 
     steps: tuple
-    n_canonical: int
-    input_wires: tuple[int, ...]  # canonical wires the input enters on
-    consumed: int                 # canonical wire measured away at the end
-    eigvec_step: int              # measure-step index fixing the consumed wire
-    target: np.ndarray            # gate the chain is meant to implement
+    target: np.ndarray | str      # gate the chain is meant to implement
+    entry: str                    # public function that runs this chain,
+    detail: str                   # what its verify ledger row asserts,
+    options: tuple = ()           # and the keyword arguments selecting it
+    wires: tuple[int, ...] = (0, 1)
+    input_wires: tuple[int, ...] = (0,)  # canonical wires the input enters on, ascending
+    consumed: int = 0             # canonical wire measured away at the end
+    eigvec_step: int = 2          # measure-step index fixing the consumed wire
 
-    def measure_steps(self):
-        return [s for s in self.steps if isinstance(s, MeasureStep)]
+    @property
+    def reads(self) -> tuple[str, ...]:
+        """GateSet fields this chain depends on, in a fixed order."""
+        named = [s.gate for s in self.steps if isinstance(s, GateStep)] + [self.target]
+        return tuple(sorted({g for g in named if isinstance(g, str)}))
+
+    def bind(self, read: dict, where: dict) -> tuple:
+        """Concrete steps: named gates looked up in ``read``, wires renamed."""
+        return tuple(
+            GateStep(_resolve(s.gate, read), tuple(where[w] for w in s.wires))
+            if isinstance(s, GateStep) else MeasureStep(s.obs, tuple(where[w] for w in s.wires))
+            for s in self.steps)
+
+    def embed(self, amps: np.ndarray) -> np.ndarray:
+        """Lay logical amplitudes on the input wires, every other wire at |0>."""
+        vec = np.zeros((2,) * len(self.wires), dtype=complex)
+        index = tuple(slice(None) if w in self.input_wires else 0 for w in range(vec.ndim))
+        vec[index] = np.reshape(amps, (2,) * len(self.input_wires))
+        return vec.reshape(-1)
 
 
-def _branch_maps(chain: _Chain) -> dict[tuple[int, ...], np.ndarray]:
-    """Linear map each branch applies to the logical input.
+def _resolve(gate, read: dict) -> np.ndarray:
+    return read[gate] if isinstance(gate, str) else gate
 
-    Columns are recovered by feeding basis states through the chain; the
-    consumed wire is contracted against the eigenstate fixed by its final
-    measurement, which the mass check in _discard vouches for.
-    """
-    d = 2 ** len(chain.input_wires)
+
+def _m(obs, *wires: int) -> MeasureStep:
+    return MeasureStep(obs, wires)
+
+
+# Canonical registers: input 0 and ancilla 1, or control 0, ancilla 1 and
+# target 2 for the cnot.  In a transfer the joint word always pairs the
+# opening letter on the source with the closing letter on the ancilla.
+_SWITCH = GateStep("hadamard", (0,))
+_IDENTITY_VARIANTS = ("h", "zz", "xx")
+_IDENTITY = "identity transfer variant {!r} moves the state unchanged"
+_CHAINS = {
+    "transfer": _Chain((_m(OBS_X, 1), _m(_XZ, 0, 1), _m(OBS_X_PRIME, 0)), "hadamard",
+                       "state_transfer_sigma_h",
+                       "transfer realizes byproduct times basis switch on every branch"),
+    "transfer_swapped": _Chain(
+        (_m(OBS_X_PRIME, 1), _m(_ZX, 0, 1), _m(OBS_X, 0)), "hadamard", "state_transfer_sigma_h",
+        "letter-swapped transfer realizes the same tactic", (("swapped", True),)),
+    "identity_h": _Chain((_SWITCH, _m(OBS_X, 1), _m(_XZ, 0, 1), _m(OBS_X_PRIME, 0)), I2,
+                         "transfer_identity", _IDENTITY.format("h"), (("variant", "h"),)),
+    "identity_zz": _Chain((_m(OBS_X, 1), _m(_ZZ, 0, 1), _m(OBS_X, 0)), I2,
+                          "transfer_identity", _IDENTITY.format("zz"), (("variant", "zz"),)),
+    "identity_xx": _Chain((_m(OBS_X_PRIME, 1), _m(_XX, 0, 1), _m(OBS_X_PRIME, 0)), I2,
+                          "transfer_identity", _IDENTITY.format("xx"), (("variant", "xx"),)),
+    "sigma_t": _Chain((_m(OBS_X, 1), _m(_ZZ, 0, 1), _m(OBS_X_MINUS_SECOND, 0)), "phase_t",
+                      "transfer_phase_t", "phase transfer realizes byproduct times the eighth turn"),
+    "sigma_t_conj": _Chain(
+        (_SWITCH, _m(OBS_X, 1), _m(_XZ, 0, 1), _m(OBS_DIAG, 0)), "phase_t", "transfer_phase_t",
+        "conjugated phase transfer realizes the same gate", (("conjugated", True),)),
+    "cnot": _Chain(
+        (_m(OBS_X, 1), _m(_ZX, 1, 2), _m(_ZX, 0, 1), _m(OBS_X_PRIME, 1)), CNOT,
+        "mbqc_cnot", "measurement chain realizes the plain controlled flip up to byproducts",
+        wires=(0, 2, 1), input_wires=(0, 2), consumed=1, eigvec_step=3),
+}
+
+
+def _branch_maps(chain: _Chain, read: dict) -> dict[tuple[int, ...], np.ndarray]:
+    """Linear map of each branch on the logical input, one column per basis state."""
+    d, n = 2 ** len(chain.input_wires), len(chain.wires)
+    steps = chain.bind(read, {w: w for w in chain.wires})
     maps: dict[tuple[int, ...], np.ndarray] = {}
-    measure_steps = chain.measure_steps()
     for m in range(d):
-        vec = np.zeros(2**chain.n_canonical, dtype=complex)
-        # Spread the logical basis index over the input wires; every other
-        # wire (the ancilla) stays at bit 0.
-        index = 0
-        for pos, wire in enumerate(chain.input_wires):
-            bit = (m >> (len(chain.input_wires) - 1 - pos)) & 1
-            index |= bit << (chain.n_canonical - 1 - wire)
-        vec[index] = 1.0
-        for signs, v in _run_chain(vec, chain.n_canonical, chain.steps, "enumerate", None):
-            eig_sign = signs[chain.eigvec_step]
-            eigvec = measure_steps[chain.eigvec_step].obs.eigenvector(eig_sign)
-            column = _discard(v, chain.n_canonical, chain.consumed, eigvec)
+        basis = chain.embed(np.eye(d)[m])
+        for signs, _, column in _run_chain(basis, n, steps, "enumerate", None,
+                                           (chain.consumed, chain.eigvec_step)):
             maps.setdefault(signs, np.zeros((d, d), dtype=complex))[:, m] = column
     return maps
 
 
-def _identify_byproducts(chain: _Chain) -> dict[tuple[int, ...], tuple[PauliTag, np.ndarray]]:
-    maps = _branch_maps(chain)
-    target_inv = np.linalg.inv(chain.target)
+@functools.lru_cache(maxsize=64)
+def _byproduct_table(name: str, gate_bytes: tuple[bytes, ...]) -> dict:
+    """(tag, branch map, scalar) by signs, with branch_map @ target^-1 == scalar * tag.
+
+    Keyed by the bytes of every gate the chain reads, so it never serves
+    another gate set; the maps are shared, so they are read-only."""
+    chain = _CHAINS[name]
+    read = {f: np.frombuffer(raw, dtype=complex) for f, raw in zip(chain.reads, gate_bytes)}
+    read = {f: flat.reshape(math.isqrt(flat.size), -1) for f, flat in read.items()}
+    target_inv = np.linalg.inv(_resolve(chain.target, read))
     out = {}
-    for signs, mat in sorted(maps.items(), key=lambda kv: tuple(-s for s in kv[0])):
+    for signs, mat in sorted(_branch_maps(chain, read).items(), key=lambda kv: [-s for s in kv[0]]):
         matched = match_pauli_word(mat @ target_inv, atol=1e-9)
         if matched is None:
             raise ValidationError(
-                f"branch {signs} does not reduce to a Pauli correction of the target"
-            )
-        letters, _ = matched
-        out[signs] = (PauliTag(letters), mat)
+                f"branch {signs} does not reduce to a Pauli correction of the target")
+        letters, scalar = matched
+        mat.setflags(write=False)
+        out[signs] = (PauliTag(letters), mat, scalar)
     return out
+
+
+def _byproducts(name: str, gates: GateSet) -> dict:
+    return _byproduct_table(name, tuple(np.asarray(getattr(gates, f), dtype=complex).tobytes()
+                                        for f in _CHAINS[name].reads))
 
 
 def _validate_fresh(state: QState, wire: int) -> None:
@@ -174,66 +238,21 @@ def _validate_fresh(state: QState, wire: int) -> None:
         raise ValidationError(f"ancilla wire {wire} must be freshly prepared in |0>")
 
 
-def _run_public(state: QState, chain_wires: dict[int, int], chain: _Chain, mode, rng):
-    """Execute a chain on the caller's register and package the outcomes.
-
-    ``chain_wires`` maps canonical wire -> caller wire.  The consumed wire is
-    removed from the register, so callers should expect one fewer qubit.
-    """
-    n = state.n_qubits
-    steps = []
-    for step in chain.steps:
-        wires = tuple(chain_wires[w] for w in step.wires)
-        if isinstance(step, GateStep):
-            steps.append(GateStep(step.gate, wires))
-        else:
-            steps.append(MeasureStep(step.obs, wires))
-    tags = _identify_byproducts(chain)
-    measure_steps = chain.measure_steps()
-    labels = [s.obs.label for s in measure_steps]
-    consumed_wire = chain_wires[chain.consumed]
-    results = []
-    for signs, v in _run_chain(state.amplitudes, n, steps, mode, rng):
-        prob = float(np.vdot(v, v).real)
-        eigvec = measure_steps[chain.eigvec_step].obs.eigenvector(signs[chain.eigvec_step])
-        remaining = _discard(v, n, consumed_wire, eigvec)
-        tag, branch_map = tags[signs]
-        results.append(TransferOutcome(
-            outcomes=tuple(zip(labels, signs)),
-            probability=prob,
-            state=QState(remaining / np.sqrt(prob)),
-            byproduct=tag,
-            branch_map=branch_map,
-        ))
-    if mode == "sample":
-        return results[0]
-    results.sort(key=lambda r: tuple(-s for s in r.signs))
-    return results
-
-
-def _transfer_chain(swapped: bool, gates: GateSet) -> _Chain:
-    first, second = (OBS_X_PRIME, OBS_X) if swapped else (OBS_X, OBS_X_PRIME)
-    # The joint word always pairs the opening letter on the source with the
-    # closing letter on the ancilla.
-    joint = first.tensor(second)
-    # Canonical register: wire 0 carries the input, wire 1 is the ancilla.
-    return _Chain(
-        steps=(
-            MeasureStep(first, (1,)),
-            MeasureStep(joint, (0, 1)),
-            MeasureStep(second, (0,)),
-        ),
-        n_canonical=2,
-        input_wires=(0,),
-        consumed=0,
-        eigvec_step=2,
-        target=gates.hadamard,
-    )
+def _run_public(state: QState, caller_wires: tuple, name: str, gates: GateSet, mode, rng):
+    """Run chain ``name`` on the caller's wires (the entry point's wire arguments,
+    in order); the consumed wire is removed, leaving one fewer qubit."""
+    chain = _CHAINS[name]
+    table = _byproducts(name, gates)
+    where = dict(zip(chain.wires, caller_wires))
+    steps = chain.bind(vars(gates), where)
+    labels = [s.obs.label for s in steps if isinstance(s, MeasureStep)]
+    return _branches(state, steps, mode, rng, lambda signs, prob, psi: TransferOutcome(
+        tuple(zip(labels, signs)), prob, psi, *table[signs][:2]),
+        (where[chain.consumed], chain.eigvec_step))
 
 
 def state_transfer_sigma_h(state: QState, src: int, anc: int, mode: str = "enumerate",
-                           rng=None, *, swapped: bool = False,
-                           gates: GateSet = DEFAULT_GATES):
+                           rng=None, *, swapped: bool = False, gates: GateSet = DEFAULT_GATES):
     """Move the strategy on ``src`` to ``anc`` while applying the basis switch.
 
     Three measurements consume ``src``; each branch leaves ``anc`` carrying
@@ -242,16 +261,12 @@ def state_transfer_sigma_h(state: QState, src: int, anc: int, mode: str = "enume
     the opening measurement on the fresh ancilla deterministic.
     """
     _validate_fresh(state, anc)
-    chain = _transfer_chain(swapped, gates)
-    return _run_public(state, {0: src, 1: anc}, chain, mode, rng)
-
-
-_IDENTITY_VARIANTS = ("h", "zz", "xx")
+    return _run_public(state, (src, anc), "transfer_swapped" if swapped else "transfer",
+                       gates, mode, rng)
 
 
 def transfer_identity(state: QState, src: int, anc: int, variant: str = "zz",
-                      mode: str = "enumerate", rng=None, *,
-                      gates: GateSet = DEFAULT_GATES):
+                      mode: str = "enumerate", rng=None, *, gates: GateSet = DEFAULT_GATES):
     """Move a strategy unchanged (up to a Pauli byproduct) onto a fresh wire.
 
     The three equivalent realizations: ``h`` precedes the basis-switch
@@ -259,73 +274,24 @@ def transfer_identity(state: QState, src: int, anc: int, variant: str = "zz",
     readout word, ``xx`` the doubled flip word.
     """
     _validate_fresh(state, anc)
-    eye = np.eye(2, dtype=complex)
-    if variant == "h":
-        chain = _Chain(
-            steps=(
-                GateStep(gates.hadamard, (0,)),
-                MeasureStep(OBS_X, (1,)),
-                MeasureStep(OBS_X.tensor(OBS_X_PRIME), (0, 1)),
-                MeasureStep(OBS_X_PRIME, (0,)),
-            ),
-            n_canonical=2, input_wires=(0,), consumed=0, eigvec_step=2, target=eye,
-        )
-    elif variant == "zz":
-        chain = _Chain(
-            steps=(
-                MeasureStep(OBS_X, (1,)),
-                MeasureStep(OBS_X_PRIME.tensor(OBS_X_PRIME), (0, 1)),
-                MeasureStep(OBS_X, (0,)),
-            ),
-            n_canonical=2, input_wires=(0,), consumed=0, eigvec_step=2, target=eye,
-        )
-    elif variant == "xx":
-        chain = _Chain(
-            steps=(
-                MeasureStep(OBS_X_PRIME, (1,)),
-                MeasureStep(OBS_X.tensor(OBS_X), (0, 1)),
-                MeasureStep(OBS_X_PRIME, (0,)),
-            ),
-            n_canonical=2, input_wires=(0,), consumed=0, eigvec_step=2, target=eye,
-        )
-    else:
+    if variant not in _IDENTITY_VARIANTS:
         raise ValidationError(f"variant must be one of {_IDENTITY_VARIANTS}, got {variant!r}")
-    return _run_public(state, {0: src, 1: anc}, chain, mode, rng)
+    return _run_public(state, (src, anc), f"identity_{variant}", gates, mode, rng)
 
 
 def transfer_phase_t(state: QState, src: int, anc: int, mode: str = "enumerate",
-                     rng=None, *, conjugated: bool = False,
-                     gates: GateSet = DEFAULT_GATES):
+                     rng=None, *, conjugated: bool = False, gates: GateSet = DEFAULT_GATES):
     """Apply the eighth-turn phase gate by measurement, up to a byproduct.
 
     The closing measurement is the tilted flip word; the ``conjugated`` form
     rotates it to the diagonal mix G by a basis-switch gate on the source.
     """
     _validate_fresh(state, anc)
-    if conjugated:
-        chain = _Chain(
-            steps=(
-                GateStep(gates.hadamard, (0,)),
-                MeasureStep(OBS_X, (1,)),
-                MeasureStep(OBS_X.tensor(OBS_X_PRIME), (0, 1)),
-                MeasureStep(OBS_DIAG, (0,)),
-            ),
-            n_canonical=2, input_wires=(0,), consumed=0, eigvec_step=2, target=T,
-        )
-    else:
-        chain = _Chain(
-            steps=(
-                MeasureStep(OBS_X, (1,)),
-                MeasureStep(OBS_X_PRIME.tensor(OBS_X_PRIME), (0, 1)),
-                MeasureStep(OBS_X_MINUS_SECOND, (0,)),
-            ),
-            n_canonical=2, input_wires=(0,), consumed=0, eigvec_step=2, target=T,
-        )
-    return _run_public(state, {0: src, 1: anc}, chain, mode, rng)
+    return _run_public(state, (src, anc), "sigma_t_conj" if conjugated else "sigma_t",
+                       gates, mode, rng)
 
 
-def mbqc_cnot(state: QState, control: int, target: int, anc: int,
-              mode: str = "enumerate", rng=None):
+def mbqc_cnot(state: QState, control: int, target: int, anc: int, mode: str = "enumerate", rng=None):
     """Entangle control and target by measurements through a fresh ancilla.
 
     Four measurements consume the ancilla and leave the pair carrying the
@@ -334,22 +300,7 @@ def mbqc_cnot(state: QState, control: int, target: int, anc: int,
     can absorb the conditional phase of the SU(2) alliance gate.
     """
     _validate_fresh(state, anc)
-    from .gates import CNOT
-
-    chain = _Chain(
-        steps=(
-            MeasureStep(OBS_X, (1,)),
-            MeasureStep(OBS_X_PRIME.tensor(OBS_X), (1, 2)),
-            MeasureStep(OBS_X_PRIME.tensor(OBS_X), (0, 1)),
-            MeasureStep(OBS_X_PRIME, (1,)),
-        ),
-        n_canonical=3,
-        input_wires=(0, 2),
-        consumed=1,
-        eigvec_step=3,
-        target=CNOT,
-    )
-    return _run_public(state, {0: control, 1: anc, 2: target}, chain, mode, rng)
+    return _run_public(state, (control, target, anc), "cnot", DEFAULT_GATES, mode, rng)
 
 
 @dataclass(frozen=True)
@@ -370,26 +321,10 @@ def implicit_readout(state: QState, wire: int, anc: int, mode: str = "enumerate"
     readout law and post-states exactly, and the ancilla comes off clean.
     """
     _validate_fresh(state, anc)
-    n = state.n_qubits
-    steps = (
-        MeasureStep(OBS_X, (anc,)),
-        MeasureStep(OBS_X.tensor(OBS_X_PRIME), (anc, wire)),
-    )
-    results = []
-    for signs, v in _run_chain(state.amplitudes, n, steps, mode, rng):
-        prob = float(np.vdot(v, v).real)
-        eigvec = OBS_X.eigenvector(signs[0])
-        remaining = _discard(v, n, anc, eigvec)
-        results.append(ImplicitReadout(
-            outcomes=(("X", signs[0]), ("X*X'", signs[1])),
-            derived_sign=signs[0] * signs[1],
-            probability=prob,
-            state=QState(remaining / np.sqrt(prob)),
-        ))
-    if mode == "sample":
-        return results[0]
-    results.sort(key=lambda r: tuple(-s for s in (r.outcomes[0][1], r.outcomes[1][1])))
-    return results
+    steps = (_m(OBS_X, anc), _m(_XZ, anc, wire))
+    return _branches(state, steps, mode, rng, lambda signs, prob, psi: ImplicitReadout(
+        outcomes=tuple(zip((OBS_X.label, _XZ.label), signs)),
+        derived_sign=signs[0] * signs[1], probability=prob, state=psi), (anc, 0))
 
 
 def implicit_readout_law(state: QState, wire: int, anc: int) -> dict[int, float]:
@@ -401,101 +336,123 @@ def implicit_readout_law(state: QState, wire: int, anc: int) -> dict[int, float]
 
 
 def measure_composite(state: QState, pair: tuple[int, int], kind: str,
-                      mode: str = "enumerate", rng=None, *,
-                      gates: GateSet = DEFAULT_GATES):
+                      mode: str = "enumerate", rng=None, *, gates: GateSet = DEFAULT_GATES):
     """Measure a same-letter two-wire word through its flip/readout realization.
 
     ``kind`` is ``"xx"`` (link gate on the second wire) or ``"zz"`` (link on
     the first); the joint flip/readout word is measured in between.  Branch
     labels report the composite actually realized.
     """
-    if kind == "xx":
-        link_wire = pair[1]
-        label = "X*X"
-    elif kind == "zz":
-        link_wire = pair[0]
-        label = "X'*X'"
-    else:
+    if kind not in ("xx", "zz"):
         raise ValidationError(f"kind must be 'xx' or 'zz', got {kind!r}")
-    n = state.n_qubits
-    steps = (
-        GateStep(gates.hadamard, (link_wire,)),
-        MeasureStep(OBS_X.tensor(OBS_X_PRIME), tuple(pair)),
-        GateStep(gates.hadamard, (link_wire,)),
-    )
-    results = []
-    for signs, v in _run_chain(state.amplitudes, n, steps, mode, rng):
-        prob = float(np.vdot(v, v).real)
-        results.append(Branch(
-            outcomes=((label, signs[0]),),
-            probability=prob,
-            state=QState(v / np.sqrt(prob)),
-        ))
-    if mode == "sample":
-        return results[0]
-    results.sort(key=lambda r: -r.outcomes[0][1])
-    return results
+    link_wire, label = (pair[1], _XX.label) if kind == "xx" else (pair[0], _ZZ.label)
+    link = GateStep(gates.hadamard, (link_wire,))
+    steps = (link, MeasureStep(_XZ, tuple(pair)), link)
+    return _branches(state, steps, mode, rng,
+                     lambda signs, prob, psi: Branch(((label, signs[0]),), prob, psi))
+
+
+def _transfer_laws(swapped: bool = False) -> list[tuple[PauliTag, float]]:
+    """(byproduct, probability) per default-gate transfer branch; each map is a
+    scaled unitary, so the probability does not depend on the input."""
+    table = _byproducts("transfer_swapped" if swapped else "transfer", DEFAULT_GATES)
+    return [(tag, float(np.vdot(mat[:, 0], mat[:, 0]).real)) for tag, mat, _ in table.values()]
 
 
 def transfer_byproduct_distribution(*, swapped: bool = False) -> dict[str, float]:
     """Byproduct law of a single transfer, from exhaustive branch enumeration."""
-    chain = _transfer_chain(swapped, DEFAULT_GATES)
-    tags = _identify_byproducts(chain)
-    maps = _branch_maps(chain)
     law: dict[str, float] = {}
-    for signs, (tag, _) in tags.items():
-        mat = maps[signs]
-        # Branch probability is input independent: the map is a scaled unitary.
-        prob = float(np.vdot(mat[:, 0], mat[:, 0]).real)
+    for tag, prob in _transfer_laws(swapped):
         law[tag.letters[0]] = law.get(tag.letters[0], 0.0) + prob
     return law
 
 
 def pair_byproduct_distribution() -> dict[str, float]:
     """Law of the composed byproduct word after two successive transfers."""
-    chain = _transfer_chain(False, DEFAULT_GATES)
-    tags = _identify_byproducts(chain)
-    maps = _branch_maps(chain)
     law: dict[str, float] = {}
-    for s1, (tag1, _) in tags.items():
-        p1 = float(np.vdot(maps[s1][:, 0], maps[s1][:, 0]).real)
-        for s2, (tag2, _) in tags.items():
-            p2 = float(np.vdot(maps[s2][:, 0], maps[s2][:, 0]).real)
-            combined = tag2.compose(tag1.conjugated_by_h()).mod_phase()
-            key = combined.letters[0]
-            law[key] = law.get(key, 0.0) + p1 * p2
+    for (tag1, p1), (tag2, p2) in itertools.product(_transfer_laws(), repeat=2):
+        key = tag2.compose(tag1.conjugated_by_h()).mod_phase().letters[0]
+        law[key] = law.get(key, 0.0) + p1 * p2
     return law
 
 
-@dataclass(frozen=True)
-class VerifyCheck:
-    """One line of the identity ledger produced by verify_universality."""
-
-    name: str
-    status: str              # "pass", "fail", or "info"
-    deviation: float
-    tolerance: float | None
-    detail: str = ""
-
-    @property
-    def passed(self) -> bool:
-        return self.status != "fail"
+def _gap(lhs, rhs) -> float:
+    return float(np.max(np.abs(np.asarray(lhs) - np.asarray(rhs))))
 
 
-def _algebra_check(name: str, lhs: np.ndarray, rhs: np.ndarray, tol: float,
-                   detail: str) -> VerifyCheck:
-    deviation = float(np.max(np.abs(np.asarray(lhs) - np.asarray(rhs))))
-    status = "pass" if deviation <= tol else "fail"
-    return VerifyCheck(name, status, deviation, tol, detail)
+def _guarded(name: str, fn, tol: float, detail: str) -> CheckRecord:
+    """One ledger row; a QGameError fails the row instead of the ledger."""
+    try:
+        deviation = float(fn())
+    except QGameError as exc:
+        return CheckRecord(name, "fail", float("inf"), tol, f"{detail}; aborted: {exc}")
+    return CheckRecord(name, "pass" if deviation <= tol else "fail", deviation, tol, detail)
 
 
-def _bounded_check(name: str, deviation: float, tol: float, detail: str) -> VerifyCheck:
-    status = "pass" if deviation <= tol else "fail"
-    return VerifyCheck(name, status, float(deviation), tol, detail)
+def _chain_deviation(name: str, gates: GateSet, inputs) -> float:
+    """Worst branch infidelity or lost mass of a chain run through its entry point."""
+    chain = _CHAINS[name]
+    run = globals()[chain.entry]
+    options = dict(chain.options, **({"gates": gates} if chain.reads else {}))
+    target = _resolve(chain.target, vars(gates))
+    worst = 0.0
+    for psi in inputs:
+        total = 0.0
+        for out in run(QState(chain.embed(psi.amplitudes)), *chain.wires, **options):
+            total += out.probability
+            expect = out.byproduct.matrix() @ target @ psi.amplitudes
+            expect = expect / np.linalg.norm(expect)
+            if not equal_up_to_global_phase(out.state.amplitudes, expect, atol=1e-8)[0]:
+                return 1.0
+            worst = max(worst, 1.0 - float(abs(np.vdot(out.state.amplitudes, expect))))
+        worst = max(worst, abs(total - 1.0))
+    return worst
+
+
+def _implicit_deviation(inputs) -> float:
+    worst = 0.0
+    for psi in inputs:
+        law = implicit_readout_law(QState(np.kron(psi.amplitudes, [1.0, 0.0])), 0, 1)
+        p_plus = float(np.vdot(OBS_X_PRIME.proj_plus @ psi.amplitudes,
+                               OBS_X_PRIME.proj_plus @ psi.amplitudes).real)
+        worst = max(worst, abs(law[+1] - p_plus), abs(law[-1] - (1 - p_plus)))
+    return worst
+
+
+def _composite_deviation(kind: str, direct, gates: GateSet, pair_inputs) -> float:
+    worst = 0.0
+    for pair in pair_inputs:
+        via = measure_composite(pair, (0, 1), kind, gates=gates)
+        ref = {b.outcomes[0][1]: b for b in measure(pair, direct, [0, 1])}
+        if len(via) != len(ref):
+            return 1.0
+        for branch in via:
+            sign = branch.outcomes[0][1]
+            worst = max(worst, abs(branch.probability - ref[sign].probability))
+            if not equal_up_to_global_phase(branch.state, ref[sign].state, atol=1e-8)[0]:
+                worst = 1.0
+    return worst
+
+
+def _algebra_deviation(gates: GateSet) -> float:
+    """Compose every pair of transfer branch maps and compare with the tag algebra."""
+    tagged = [(*tag_from_scalar(tag.letters, scalar), mat)
+              for _, (tag, mat, scalar) in sorted(_byproducts("transfer", gates).items())]
+    worst = 0.0
+    for (tag1, mag1, map1), (tag2, mag2, map2) in itertools.product(tagged, repeat=2):
+        expected = tag2.compose(tag1.conjugated_by_h()).shifted(2)
+        found = match_pauli_word(map2 @ map1)
+        if found is None:
+            return float("inf")
+        got, mag = tag_from_scalar(*found)
+        if got != expected:
+            worst = 1.0
+        worst = max(worst, abs(mag - mag1 * mag2))
+    return worst
 
 
 def verify_universality(gates: GateSet = DEFAULT_GATES, *, n_random: int = 25,
-                        seed: int = 0) -> list[VerifyCheck]:
+                        seed: int = 0) -> list[CheckRecord]:
     """Run the whole identity and synthesis checklist and report each result.
 
     Covers the literal gate identities, the conjugation identities, every
@@ -503,192 +460,41 @@ def verify_universality(gates: GateSet = DEFAULT_GATES, *, n_random: int = 25,
     the implicit readout, the composite words, and the exact byproduct
     algebra.  The byproduct laws are recorded as informational entries.
     """
-    from .config import ATOL_ALGEBRA
-    from .gates import SIGMA_X, SIGMA_Z
-    from .states import equal_up_to_global_phase as _phase_eq
-    from .states import random_state as _random_state
-
-    h = gates.hadamard
-    n = gates.not_gate
-    t = gates.phase_t
-    checks: list[VerifyCheck] = []
-
-    checks.append(_algebra_check(
-        "hnh", h @ n @ h, np.diag([-1j, 1j]), ATOL_ALGEBRA,
-        "literal switch-flip-switch product equals the diagonal phase pair"))
-    checks.append(_algebra_check(
-        "hsq", h @ h, -np.eye(2), ATOL_ALGEBRA,
-        "the basis switch squares to minus identity"))
-    checks.append(_algebra_check(
-        "dets", np.array([np.linalg.det(n), np.linalg.det(h)]), np.array([1.0, 1.0]),
-        ATOL_ALGEBRA, "flip and switch have unit determinant"))
-    checks.append(_algebra_check(
-        "xprime", h @ SIGMA_X @ h.conj().T, SIGMA_Z, ATOL_ALGEBRA,
-        "switch conjugation carries the flip observable to the readout"))
-    from .gates import SIGMA_Y
-    xsecond_dev = max(
-        float(np.max(np.abs(np.linalg.inv(t) @ SIGMA_X @ t - OBS_X_MINUS_SECOND.matrix))),
-        float(np.max(np.abs(OBS_X_SECOND.matrix - SIGMA_Y))))
-    checks.append(_bounded_check(
-        "xsecond", xsecond_dev, ATOL_ALGEBRA,
-        "phase-gate conjugation tilts the flip into (X - X'')/sqrt2, pinning X'' to sigma-y"))
-    checks.append(_algebra_check(
-        "gconj", h @ OBS_X_MINUS_SECOND.matrix @ h.conj().T, OBS_DIAG.matrix, ATOL_ALGEBRA,
-        "switch conjugation carries the tilted flip to the diagonal mix"))
-    involution_dev = 0.0
-    for obs in (OBS_X, OBS_X_PRIME, OBS_X_SECOND, OBS_DIAG, OBS_X_MINUS_SECOND):
-        involution_dev = max(involution_dev, float(np.max(np.abs(
-            obs.matrix @ obs.matrix - np.eye(2)))))
-    checks.append(_bounded_check(
-        "involutions", involution_dev, ATOL_ALGEBRA,
-        "every named observable squares to identity"))
-
+    h, n, t = gates.hadamard, gates.not_gate, gates.phase_t
     rng = np.random.default_rng(seed)
-    inputs = [_random_state(1, rng) for _ in range(n_random)]
-
-    def _guarded(name: str, fn, tol: float, detail: str) -> VerifyCheck:
-        try:
-            deviation = fn()
-        except QGameError as exc:
-            return VerifyCheck(name, "fail", float("inf"), tol,
-                               f"{detail}; aborted: {exc}")
-        return _bounded_check(name, deviation, tol, detail)
-
-    def _chain_deviation(run, target: np.ndarray, reg_builder) -> float:
-        worst = 0.0
-        for psi in inputs:
-            total = 0.0
-            for out in run(reg_builder(psi)):
-                total += out.probability
-                expect = out.byproduct.matrix() @ target @ psi.amplitudes
-                ok, _ = _phase_eq(out.state.amplitudes,
-                                  expect / np.linalg.norm(expect), atol=1e-8)
-                if not ok:
-                    return 1.0
-                deviation = 1.0 - float(abs(np.vdot(
-                    out.state.amplitudes, expect / np.linalg.norm(expect))))
-                worst = max(worst, deviation)
-            worst = max(worst, abs(total - 1.0))
-        return worst
-
-    def _single(psi):
-        return QState(np.kron(psi.amplitudes, [1.0, 0.0]))
-
-    checks.append(_guarded(
-        "transfer", lambda: _chain_deviation(
-            lambda reg: state_transfer_sigma_h(reg, 0, 1, gates=gates), h, _single),
-        ATOL_CIRCUIT, "transfer realizes byproduct times basis switch on every branch"))
-    checks.append(_guarded(
-        "transfer_swapped", lambda: _chain_deviation(
-            lambda reg: state_transfer_sigma_h(reg, 0, 1, swapped=True, gates=gates), h, _single),
-        ATOL_CIRCUIT, "letter-swapped transfer realizes the same tactic"))
-    for variant in _IDENTITY_VARIANTS:
-        checks.append(_guarded(
-            f"identity_{variant}", lambda v=variant: _chain_deviation(
-                lambda reg: transfer_identity(reg, 0, 1, variant=v, gates=gates),
-                np.eye(2), _single),
-            ATOL_CIRCUIT, f"identity transfer variant {variant!r} moves the state unchanged"))
-    checks.append(_guarded(
-        "sigma_t", lambda: _chain_deviation(
-            lambda reg: transfer_phase_t(reg, 0, 1, gates=gates), t, _single),
-        ATOL_CIRCUIT, "phase transfer realizes byproduct times the eighth turn"))
-    checks.append(_guarded(
-        "sigma_t_conj", lambda: _chain_deviation(
-            lambda reg: transfer_phase_t(reg, 0, 1, conjugated=True, gates=gates), t, _single),
-        ATOL_CIRCUIT, "conjugated phase transfer realizes the same gate"))
-
-    from .gates import CNOT as _CNOT
-
-    pair_inputs = [_random_state(2, rng) for _ in range(max(n_random // 2, 4))]
-
-    def _cnot_deviation() -> float:
-        worst = 0.0
-        for pair in pair_inputs:
-            amps = np.zeros(8, dtype=complex)
-            for c_bit in range(2):
-                for t_bit in range(2):
-                    amps[c_bit * 4 + t_bit] = pair.amplitudes[c_bit * 2 + t_bit]
-            total = 0.0
-            for out in mbqc_cnot(QState(amps), 0, 2, 1):
-                total += out.probability
-                expect = out.byproduct.matrix() @ _CNOT @ pair.amplitudes
-                deviation = 1.0 - float(abs(np.vdot(
-                    out.state.amplitudes, expect / np.linalg.norm(expect))))
-                worst = max(worst, deviation)
-            worst = max(worst, abs(total - 1.0))
-        return worst
-
-    checks.append(_guarded(
-        "cnot", _cnot_deviation, ATOL_CIRCUIT,
-        "measurement chain realizes the plain controlled flip up to byproducts"))
-
-    def _implicit_deviation() -> float:
-        worst = 0.0
-        for psi in inputs:
-            law = implicit_readout_law(_single(psi), 0, 1)
-            p_plus = float(np.vdot(OBS_X_PRIME.proj_plus @ psi.amplitudes,
-                                   OBS_X_PRIME.proj_plus @ psi.amplitudes).real)
-            worst = max(worst, abs(law[+1] - p_plus), abs(law[-1] - (1 - p_plus)))
-        return worst
-
-    checks.append(_guarded(
-        "implicit_xprime", _implicit_deviation, ATOL_ALGEBRA,
-        "ancilla-correlation scheme reproduces the readout law"))
-
-    from .measure import measure as _measure
-
-    def _composite_deviation(kind: str, direct: Observable) -> float:
-        worst = 0.0
-        for pair in pair_inputs:
-            via = measure_composite(pair, (0, 1), kind, gates=gates)
-            ref = {b.outcomes[0][1]: b for b in _measure(pair, direct, [0, 1])}
-            if len(via) != len(ref):
-                return 1.0
-            for branch in via:
-                sign = branch.outcomes[0][1]
-                worst = max(worst, abs(branch.probability - ref[sign].probability))
-                ok, _ = _phase_eq(branch.state, ref[sign].state, atol=1e-8)
-                if not ok:
-                    worst = 1.0
-        return worst
-
-    for kind, direct in (("xx", OBS_X.tensor(OBS_X)), ("zz", OBS_X_PRIME.tensor(OBS_X_PRIME))):
-        checks.append(_guarded(
-            f"composite_{kind}", lambda k=kind, d=direct: _composite_deviation(k, d),
-            ATOL_CIRCUIT,
-            f"linked realization of the {kind} word matches the direct measurement"))
-
-    from .pauli import tag_from_scalar as _tag_from_scalar
-
-    def _algebra_deviation() -> float:
-        chain = _transfer_chain(False, gates)
-        tagged = []
-        for _signs, (_tag, mat) in sorted(_identify_byproducts(chain).items()):
-            found = match_pauli_word(mat @ np.linalg.inv(chain.target))
-            if found is None:
-                return float("inf")
-            tagged.append((*_tag_from_scalar(*found), mat))
-        worst = 0.0
-        for tag1, mag1, map1 in tagged:
-            for tag2, mag2, map2 in tagged:
-                expected = tag2.compose(tag1.conjugated_by_h()).shifted(2)
-                found = match_pauli_word(map2 @ map1)
-                if found is None:
-                    return float("inf")
-                got, mag = _tag_from_scalar(*found)
-                if got != expected:
-                    worst = 1.0
-                worst = max(worst, abs(mag - mag1 * mag2))
-        return worst
-
-    checks.append(_guarded(
-        "byproduct_algebra", _algebra_deviation, ATOL_CIRCUIT,
-        "chained branch maps compose exactly as the tag algebra predicts"))
-
+    inputs = [random_state(1, rng) for _ in range(n_random)]
+    pair_inputs = [random_state(2, rng) for _ in range(max(n_random // 2, 4))]
+    rows = [
+        ("hnh", lambda: _gap(h @ n @ h, np.diag([-1j, 1j])), ATOL_ALGEBRA,
+         "literal switch-flip-switch product equals the diagonal phase pair"),
+        ("hsq", lambda: _gap(h @ h, -np.eye(2)), ATOL_ALGEBRA,
+         "the basis switch squares to minus identity"),
+        ("dets", lambda: _gap([np.linalg.det(n), np.linalg.det(h)], [1.0, 1.0]), ATOL_ALGEBRA,
+         "flip and switch have unit determinant"),
+        ("xprime", lambda: _gap(h @ SIGMA_X @ h.conj().T, SIGMA_Z), ATOL_ALGEBRA,
+         "switch conjugation carries the flip observable to the readout"),
+        ("xsecond", lambda: max(_gap(np.linalg.inv(t) @ SIGMA_X @ t, OBS_X_MINUS_SECOND.matrix),
+                                _gap(OBS_X_SECOND.matrix, SIGMA_Y)), ATOL_ALGEBRA,
+         "phase-gate conjugation tilts the flip into (X - X'')/sqrt2, pinning X'' to sigma-y"),
+        ("gconj", lambda: _gap(h @ OBS_X_MINUS_SECOND.matrix @ h.conj().T, OBS_DIAG.matrix),
+         ATOL_ALGEBRA, "switch conjugation carries the tilted flip to the diagonal mix"),
+        ("involutions", lambda: max(_gap(o.matrix @ o.matrix, np.eye(2)) for o in (
+            OBS_X, OBS_X_PRIME, OBS_X_SECOND, OBS_DIAG, OBS_X_MINUS_SECOND)),
+         ATOL_ALGEBRA, "every named observable squares to identity"),
+        *((name, functools.partial(_chain_deviation, name, gates,
+                                   pair_inputs if len(chain.input_wires) == 2 else inputs),
+           ATOL_CIRCUIT, chain.detail) for name, chain in _CHAINS.items()),
+        ("implicit_xprime", lambda: _implicit_deviation(inputs), ATOL_ALGEBRA,
+         "ancilla-correlation scheme reproduces the readout law"),
+        *((f"composite_{kind}",
+           functools.partial(_composite_deviation, kind, direct, gates, pair_inputs),
+           ATOL_CIRCUIT, f"linked realization of the {kind} word matches the direct measurement")
+          for kind, direct in (("xx", _XX), ("zz", _ZZ))),
+        ("byproduct_algebra", lambda: _algebra_deviation(gates), ATOL_CIRCUIT,
+         "chained branch maps compose exactly as the tag algebra predicts"),
+    ]
+    checks = [_guarded(*row) for row in rows]
     law = transfer_byproduct_distribution()
     flatness = max(abs(v - 0.25) for v in law.values()) if len(law) == 4 else 1.0
-    checks.append(VerifyCheck(
-        "byproduct_distribution", "info", flatness, None,
-        "enumerated single-transfer byproduct law; deviation is distance from flat"))
-
-    return checks
+    return checks + [CheckRecord("byproduct_distribution", "info", flatness, None, (
+        "enumerated single-transfer byproduct law; deviation is distance from flat"))]

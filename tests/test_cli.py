@@ -57,6 +57,24 @@ class TestExitCodes:
         assert code == 2
         assert "absent.json" in err
 
+    @pytest.mark.parametrize("field", ["q_min", "q_max", "n_points", "mean", "spread"])
+    def test_market_non_numeric_field_is_refused(self, capsys, tmp_path, field):
+        payload = {"kind": "gaussian", "q_min": -8.0, "q_max": 8.0, "n_points": 64}
+        payload[field] = "a"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        code, out, err = run(capsys, ["market", str(bad)])
+        assert code == 2
+        assert str(bad) in err and repr(field) in err
+        assert "Traceback" not in err
+
+    def test_bad_qubit_limit_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("QGAME_MAX_QUBITS", "abc")
+        code, out, err = run(capsys, ["verify"])
+        assert code == 2
+        assert "QGAME_MAX_QUBITS" in err
+        assert out == ""
+
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, ["conjure"])
         assert code == 2

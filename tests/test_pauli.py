@@ -1,9 +1,14 @@
 """Byproduct tag algebra against direct matrix arithmetic."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgame import ValidationError
+from qgame.gates import SIGMA_X, SIGMA_Y, SIGMA_Z
 from qgame.pauli import LETTERS, PauliTag, match_pauli_word, tag_from_scalar
 
 
@@ -85,3 +90,64 @@ def test_identity_predicates():
     assert PauliTag(("I", "I"), phase=2).is_identity_mod_phase()
     assert not PauliTag(("I", "X")).is_identity_mod_phase()
     assert PauliTag(("X", "I"), 1).mod_phase() == PauliTag(("X", "I"))
+
+
+# Property tests over words of width 1 to 3.
+words = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(*[st.sampled_from(LETTERS)] * n))
+scalars = st.builds(
+    lambda magnitude, angle: magnitude * np.exp(1j * angle),
+    st.floats(1e-3, 1e3), st.floats(0.0, 2 * np.pi))
+phases = st.integers(0, 3)
+
+
+def _word_matrix(letters, phase=0):
+    """Reference matrix of i**phase times a word, built without PauliTag."""
+    single = {"I": np.eye(2), "X": SIGMA_X, "X'": SIGMA_Z, "X''": SIGMA_Y}
+    return 1j**phase * reduce(np.kron, [single[letter] for letter in letters])
+
+
+@settings(deadline=None)
+@given(words, scalars)
+def test_match_recovers_any_scaled_word(letters, scalar):
+    found = match_pauli_word(scalar * _word_matrix(letters))
+    assert found is not None
+    got, coeff = found
+    assert got == letters
+    assert abs(coeff - scalar) <= 1e-12 * abs(scalar)
+
+
+@settings(deadline=None)
+@given(words, scalars, st.floats(1e-6, 1e-1), st.integers(0, 2**32 - 1))
+def test_match_refuses_a_perturbed_word(letters, scalar, size, seed):
+    word = _word_matrix(letters)
+    dim = word.shape[0]
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    # Remove the word's own component, so the perturbation is never a rescaling.
+    noise -= np.trace(word.conj().T @ noise) / dim * word
+    noise /= np.max(np.abs(noise))
+    assert match_pauli_word(scalar * (word + size * noise)) is None
+
+
+@settings(deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.tuples(*[st.sampled_from(LETTERS)] * n), phases,
+    st.tuples(*[st.sampled_from(LETTERS)] * n), phases)))
+def test_multi_wire_compose_matches_matrix_product(case):
+    left_letters, left_phase, right_letters, right_phase = case
+    composed = PauliTag(left_letters, left_phase).compose(PauliTag(right_letters, right_phase))
+    direct = _word_matrix(left_letters, left_phase) @ _word_matrix(right_letters, right_phase)
+    assert np.allclose(_word_matrix(composed.letters, composed.phase), direct,
+                       rtol=0.0, atol=1e-14)
+
+
+@settings(deadline=None)
+@given(words, phases)
+def test_multi_wire_h_conjugation_matches_matrix_conjugation(letters, phase):
+    from qgame.gates import H
+
+    switch = reduce(np.kron, [H] * len(letters))
+    direct = switch @ _word_matrix(letters, phase) @ switch.conj().T
+    image = PauliTag(letters, phase).conjugated_by_h()
+    assert np.allclose(_word_matrix(image.letters, image.phase), direct, rtol=0.0, atol=1e-12)

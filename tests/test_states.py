@@ -57,6 +57,17 @@ def test_capacity_env_override(monkeypatch):
     assert QState.zero(9).n_qubits == 9
 
 
+@pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+def test_bad_capacity_env_is_a_validation_error(monkeypatch, raw):
+    from qgame.config import max_qubits
+
+    monkeypatch.setenv("QGAME_MAX_QUBITS", raw)
+    with pytest.raises(ValidationError, match="QGAME_MAX_QUBITS"):
+        max_qubits()
+    with pytest.raises(ValueError):  # still a ValueError for existing callers
+        max_qubits()
+
+
 def test_nan_and_zero_vectors_are_rejected():
     with pytest.raises(ValidationError):
         QState([np.nan, 0.0])

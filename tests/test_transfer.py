@@ -322,3 +322,57 @@ class TestVerifySuite:
         by_name = {c.name: c for c in checks}
         assert by_name["transfer"].status == "fail"
         assert "aborted" in by_name["transfer"].detail
+
+
+class TestByproductCache:
+    """The byproduct table is built once per chain and gate set, never reused across sets."""
+
+    def test_default_verify_builds_each_chain_table_once(self, monkeypatch):
+        from qgame import transfer
+
+        built = []
+        original = transfer._branch_maps
+
+        def counting(chain, read):
+            built.append(chain)
+            return original(chain, read)
+
+        transfer._byproduct_table.cache_clear()
+        monkeypatch.setattr(transfer, "_branch_maps", counting)
+        verify_universality()
+        assert len(built) <= len(transfer._CHAINS)
+        assert len(set(map(id, built))) == len(built)
+        verify_universality()
+        assert len(built) <= len(transfer._CHAINS)
+
+    def test_corrupted_run_between_clean_runs_changes_nothing(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from qgame.cli import main
+
+        def in_process(name, argv):
+            out = tmp_path / name
+            code = main(["verify", *argv, "--output", "json", "--out", str(out)])
+            return code, out.read_text()
+
+        def fresh_process(argv):
+            env = dict(os.environ)
+            src = str(Path(__file__).resolve().parents[1] / "src")
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run([sys.executable, "-m", "qgame.cli", "verify", *argv,
+                                   "--output", "json"], capture_output=True, text=True, env=env)
+            return proc.returncode, proc.stdout
+
+        corrupt = ["--corrupt", "0.3"]
+        sequence = [in_process("a", []), in_process("b", corrupt), in_process("c", [])]
+        clean, corrupted = fresh_process([]), fresh_process(corrupt)
+        assert clean[0] == 0 and corrupted[0] == 1
+        assert sequence == [clean, corrupted, clean]
+
+    def test_shared_branch_maps_are_read_only(self):
+        out = state_transfer_sigma_h(_with_fresh_ancilla(QState.zero(1)), 0, 1)[0]
+        with pytest.raises(ValueError):
+            out.branch_map[0, 0] = 0.0
