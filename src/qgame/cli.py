@@ -8,7 +8,7 @@ output no matter how the work is scheduled.  Wall-clock time is only
 recorded under ``--timing`` since it would break that guarantee.
 
 Exit codes: 0 when every check passes, 1 when any check fails, 2 for
-usage errors and unreadable input files.
+usage errors, unreadable input files and an unwritable ``--out`` path.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .games import (
 )
 from .gates import GateSet, H
 from .market import (
+    MAX_WIGNER_POINTS,
     GridSpec,
     demand_cdf,
     make_gaussian_strategy,
@@ -178,14 +179,30 @@ def cmd_walk(args) -> Report:
     return Report("walk", config, checks, {"survival": table})
 
 
-def _number(payload: dict, key: str, path: str, kind=float, default=None):
+def _number(payload: dict, key: str, path: str, default=None) -> float:
     """One numeric field of a strategy file; a bad value names the file and field."""
     value = payload.get(key, default)
     try:
-        return kind(value)
-    except (TypeError, ValueError):
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(
             f"{path}: field {key!r} must be a number, got {value!r}") from None
+
+
+def _point_count(value: int | float, source: str) -> int:
+    """A grid point count read from ``source``, a file field or a flag.
+
+    The count is checked here, before any array is built, so a fractional
+    or oversized count is refused by name instead of being truncated or
+    allocated.
+    """
+    whole = isinstance(value, int) or value.is_integer()
+    if not (whole and 64 <= value <= MAX_WIGNER_POINTS
+            and int(value) & (int(value) - 1) == 0):
+        raise ValidationError(
+            f"{source} must be a power of two from 64 to "
+            f"{MAX_WIGNER_POINTS}, got {value!r}")
+    return int(value)
 
 
 def _load_strategy(path: str, grid_override: int | None):
@@ -208,12 +225,20 @@ def _load_strategy(path: str, grid_override: int | None):
     for key in ("q_min", "q_max", "n_points"):
         if key not in payload:
             raise ValidationError(f"{path}: missing grid field {key!r}")
-    n_points = int(grid_override or _number(payload, "n_points", path, int))
+    if grid_override is not None:
+        n_points = _point_count(grid_override, "--grid")
+    else:
+        n_points = _point_count(_number(payload, "n_points", path),
+                                f"{path}: field 'n_points'")
+    center = payload.get("center", True)
+    if not isinstance(center, bool):
+        raise ValidationError(
+            f"{path}: field 'center' must be true or false, got {center!r}")
     grid = GridSpec(_number(payload, "q_min", path), _number(payload, "q_max", path),
                     n_points)
     return make_gaussian_strategy(_number(payload, "mean", path, default=0.0),
                                   _number(payload, "spread", path, default=1.0), grid,
-                                  center=bool(payload.get("center", True)))
+                                  center=center)
 
 
 def cmd_market(args) -> Report:
@@ -368,7 +393,12 @@ def main(argv: list[str] | None = None) -> int:
         report.wall_time_s = time.perf_counter() - started
     rendered = report.render(args.output)
     if args.out:
-        Path(args.out).write_text(rendered)
+        try:
+            Path(args.out).write_text(rendered)
+        except OSError as exc:
+            print(f"qgame {args.command}: cannot write report to {args.out}: "
+                  f"{exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(rendered)
     return report.exit_code()

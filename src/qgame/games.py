@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import ValidationError
 from .gates import DEFAULT_GATES, GateSet
@@ -99,10 +98,12 @@ class GambleParams:
         """Chance that the verification test flags the returned state.
 
         The test projects onto the honest split, so only the orthogonal
-        component is ever flagged: 1 - |<honest|prepared>|^2, which is 0
-        exactly at theta = pi/4.
+        component is ever flagged: 1 - |<honest|prepared>|^2, which is
+        sin^2(theta - pi/4) and 0 exactly at theta = pi/4.  The sine form
+        keeps full relative precision near the honest split, where a large
+        reward multiplies it.
         """
-        return 1.0 - math.cos(self.theta - math.pi / 4) ** 2
+        return math.sin(self.theta - math.pi / 4) ** 2
 
 
 def gvw_expected_payoffs(params: GambleParams) -> tuple[float, float]:
@@ -163,29 +164,19 @@ def gvw_simulate(params: GambleParams, trials: int,
     return GambleSample(mean, half_width, trials, counts)
 
 
-def _best_cheat(p_verify: float, reward: float) -> tuple[float, float]:
-    def e_bob(theta: float) -> float:
-        return gvw_expected_payoffs(GambleParams(theta, p_verify, reward))[0]
-
-    result = minimize_scalar(e_bob, bounds=(0.0, math.pi / 2), method="bounded",
-                             options={"xatol": 1e-8})
-    theta_star = float(result.x)
-    # The bounded search never lands exactly on an endpoint; snap when the
-    # endpoint is at least as good.
-    for endpoint in (0.0, math.pi / 2):
-        if e_bob(endpoint) <= e_bob(theta_star):
-            theta_star = endpoint
-    return theta_star, e_bob(theta_star)
-
-
 def gvw_best_response(p_verify: float, reward: float) -> tuple[float, float]:
     """Alice's payoff-minimizing preparation against a known audit rate.
 
-    Returns (theta, Bob's expectation there); theta is located by bounded
-    scalar minimization over [0, pi/2] to a 1e-8 bracket.
+    Returns (theta, Bob's expectation there).  Bob's expectation is
+    E(theta) = p(R-1)/2 - (1-p) cos 2theta - p(R+1)/2 sin 2theta, so the
+    exact minimizer over [0, pi/2] is theta* = atan2(p(R+1)/2, 1-p) / 2:
+    the full cheat 0 when never audited, the honest pi/4 when always.
     """
     GambleParams(0.0, p_verify, reward)  # reuse the field validation
-    return _best_cheat(p_verify, reward)
+    theta_star = 0.5 * math.atan2(p_verify * (reward + 1.0) / 2.0,
+                                  1.0 - p_verify)
+    return theta_star, gvw_expected_payoffs(
+        GambleParams(theta_star, p_verify, reward))[0]
 
 
 def gvw_audit_response(theta: float, reward: float) -> tuple[float, float]:
@@ -204,24 +195,21 @@ def gvw_audit_response(theta: float, reward: float) -> tuple[float, float]:
 def gvw_fair_point(reward: float) -> tuple[float, float]:
     """Audit rate maximizing Bob's guaranteed expectation, and that value.
 
-    Alice replies with her best cheat at every candidate rate, so the
-    returned value is Bob's floor.  The floor is concave in the audit
-    rate, which makes the bounded search reliable; as the reward grows the
-    floor approaches zero and the round approaches a fair bet.
+    Alice replies with her best cheat at every rate p, which leaves Bob
+    the floor f(p) = k p - hypot(1-p, c p) with c = (R+1)/2, k = (R-1)/2.
+    The floor is concave with f'(0) > 0 and f'(1) = -1, so its maximum is
+    the interior root of f'(p) = 0:
+    p* = (1 + c k / sqrt(1+R)) / (1 + c^2), evaluated divided through by c
+    so that c^2 cannot overflow.  The value is read through the payoff
+    engine at Alice's best reply.  As the reward grows the floor approaches
+    zero and the round approaches a fair bet.
     """
     if not (math.isfinite(reward) and reward > 0.0):
         raise ValidationError(f"reward must be positive, got {reward!r}")
-
-    def floor(p_verify: float) -> float:
-        return _best_cheat(p_verify, reward)[1]
-
-    result = minimize_scalar(lambda p: -floor(p), bounds=(0.0, 1.0),
-                             method="bounded", options={"xatol": 1e-10})
-    p_star = float(result.x)
-    for endpoint in (0.0, 1.0):
-        if floor(endpoint) >= floor(p_star):
-            p_star = endpoint
-    return p_star, floor(p_star)
+    c = (reward + 1.0) / 2.0
+    k = (reward - 1.0) / 2.0
+    p_star = (1.0 / c + k / math.sqrt(1.0 + reward)) / (1.0 / c + c)
+    return p_star, gvw_best_response(p_star, reward)[1]
 
 
 def _as_complex_matrix(value, dim: int, what: str) -> np.ndarray:

@@ -35,7 +35,7 @@ _NORM_ATOL = 1e-10
 _EDGE_AMPLITUDE = 1e-12
 _ALIAS_MASS = 1e-8
 _DEAD_AMPLITUDE = 1e-150
-_MAX_WIGNER_POINTS = 4096
+MAX_WIGNER_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -293,10 +293,10 @@ def wigner(psi: WaveFunction1D, *, h_e: float = TWO_PI) -> WignerGrid:
     hbar = h_e / TWO_PI
     grid = psi.grid
     n = grid.n_points
-    if n > _MAX_WIGNER_POINTS:
+    if n > MAX_WIGNER_POINTS:
         raise CapacityError(
             f"wigner needs an n x n work array; {n} exceeds the "
-            f"{_MAX_WIGNER_POINTS}-point limit")
+            f"{MAX_WIGNER_POINTS}-point limit")
     step = grid.step
     vec = psi.samples
     folded = np.zeros((n, n), dtype=complex)

@@ -1,14 +1,23 @@
 """End-to-end runs of the command-line front end via ``main``."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgame.cli import main
 
-DOCS = Path(__file__).resolve().parents[1] / "docs"
+ROOT = Path(__file__).resolve().parents[1]
+DOCS = ROOT / "docs"
 SCHEMA = json.loads((DOCS / "report.schema.json").read_text())
 GAUSSIAN = str(DOCS / "examples" / "gaussian.json")
 AUTOMATON = str(DOCS / "examples" / "flip_automaton.json")
@@ -75,6 +84,40 @@ class TestExitCodes:
         assert "QGAME_MAX_QUBITS" in err
         assert out == ""
 
+    @pytest.mark.parametrize("n_points", [64.9, 2**40], ids=["fractional", "huge"])
+    def test_market_bad_point_count_is_refused(self, capsys, tmp_path, n_points):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"kind": "gaussian", "q_min": -8.0,
+                                   "q_max": 8.0, "n_points": n_points}))
+        code, out, err = run(capsys, ["market", str(bad)])
+        assert code == 2
+        assert str(bad) in err and "'n_points'" in err
+        assert out == ""
+
+    def test_market_explicit_zero_grid_is_refused(self, capsys):
+        code, out, err = run(capsys, ["market", GAUSSIAN, "--grid", "0"])
+        assert code == 2
+        assert "--grid" in err
+        assert out == ""
+
+    def test_market_non_boolean_center_is_refused(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"kind": "gaussian", "q_min": -8.0,
+                                   "q_max": 8.0, "n_points": 64,
+                                   "center": "false"}))
+        code, out, err = run(capsys, ["market", str(bad)])
+        assert code == 2
+        assert str(bad) in err and "'center'" in err
+        assert out == ""
+
+    def test_unwritable_out_path_is_a_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "absent" / "report.json"
+        code, out, err = run(capsys, ["newcomb", "--out", str(target)])
+        assert code == 2
+        assert f"qgame newcomb: cannot write report to {target}" in err
+        assert "Traceback" not in err
+        assert not target.exists()
+
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, ["conjure"])
         assert code == 2
@@ -83,6 +126,68 @@ class TestExitCodes:
         code, out, err = run(capsys, ["verify", "--only", "nonsense"])
         assert code == 2
         assert "nonsense" in err
+
+
+# Malformed values of every JSON type.  Integers are small or huge: a
+# well-formed power-of-two grid between 2048 and the 4096-point limit is a
+# valid request whose n x n Wigner table costs hundreds of megabytes, a
+# resource question rather than malformed input.
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-1000, 1000),
+    st.integers(2**62, 10**400),
+    st.integers(2**62, 10**400).map(lambda v: -v),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=6),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
+)
+_PLAUSIBLE = {
+    "kind": st.just("gaussian"),
+    "q_min": st.floats(-12.0, -4.0),
+    "q_max": st.floats(4.0, 12.0),
+    "n_points": st.sampled_from([64, 128, 256]),
+    "mean": st.floats(-3.0, 3.0),
+    "spread": st.floats(0.05, 3.0),
+    "center": st.booleans(),
+}
+
+
+@st.composite
+def _strategy_payloads(draw):
+    payload = {}
+    for key, plausible in _PLAUSIBLE.items():
+        choice = draw(st.sampled_from(["plausible", "junk", "missing"]))
+        if choice != "missing":
+            payload[key] = draw(plausible if choice == "plausible" else _JUNK)
+    return payload
+
+
+@settings(max_examples=150, deadline=None)
+@given(_strategy_payloads(), st.sampled_from([[], ["--grid", "0"], ["--grid", "128"]]))
+def test_market_exit_code_contract_holds_for_any_payload(payload, extra):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "strategy.json"
+        path.write_text(json.dumps(payload))
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            try:
+                code = main(["market", str(path), "--output", "json", *extra])
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2), sink.getvalue()
+
+
+def test_cli_import_loads_no_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    probe = ("import qgame.cli, sys; print(any(m == 'scipy' or "
+             "m.startswith('scipy.') for m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 class TestSchema:

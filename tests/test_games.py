@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgame import QState, ValidationError, seeded_rng
 from qgame.gates import H, NOT
@@ -188,6 +190,42 @@ class TestBestResponses:
         # smaller rewards sit further from fair
         _, value_small = gvw_fair_point(100.0)
         assert value_small == pytest.approx(-1.795271803495e-01, abs=1e-6)
+
+
+_RATES = st.floats(0.0, 1.0)
+# Rewards log-uniform from 1e-6 to 1e300, far past where c^2 = ((R+1)/2)^2
+# overflows.
+_REWARDS = st.floats(-6.0, 300.0).map(lambda exponent: 10.0 ** exponent)
+
+
+def _bob(theta, p_verify, reward):
+    return gvw_expected_payoffs(GambleParams(theta, p_verify, reward))[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_RATES, _REWARDS)
+def test_best_response_is_the_exact_minimizer(p_verify, reward):
+    theta_star, e_star = gvw_best_response(p_verify, reward)
+    assert math.isfinite(theta_star) and 0.0 <= theta_star <= math.pi / 2
+    assert e_star == _bob(theta_star, p_verify, reward)
+    grid = min(_bob(float(theta), p_verify, reward)
+               for theta in np.linspace(0.0, math.pi / 2, 2001))
+    assert e_star <= grid + 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(_REWARDS)
+def test_fair_point_is_the_exact_maximizer(reward):
+    p_star, value = gvw_fair_point(reward)
+    assert math.isfinite(p_star) and 0.0 < p_star < 1.0
+    assert math.isfinite(value)
+
+    def floor(p_verify):
+        return gvw_best_response(p_verify, reward)[1]
+
+    rivals = [floor(p_star * (1.0 + 1e-6)), floor(p_star * (1.0 - 1e-6))]
+    rivals += [floor(float(p)) for p in np.linspace(0.0, 1.0, 1001)]
+    assert value >= max(rivals) - 1e-12
 
 
 class TestGambleSimulation:
