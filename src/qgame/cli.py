@@ -40,10 +40,10 @@ from .gates import GateSet, H
 from .market import (
     MAX_WIGNER_POINTS,
     GridSpec,
+    WaveFunction1D,
     demand_cdf,
     make_gaussian_strategy,
     supply_cdf,
-    wave_from_json,
     wigner,
     wigner_to_csv,
 )
@@ -205,37 +205,57 @@ def _point_count(value: int | float, source: str) -> int:
     return int(value)
 
 
-def _load_strategy(path: str, grid_override: int | None):
+def _read_json_object(path: str, what: str) -> dict:
+    """Parse the ``what`` file at ``path``, which must hold a JSON object."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
-        raise ValidationError(f"cannot read strategy file {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {what} file {path}: {exc}") from exc
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{path}: JSON parse error at line {exc.lineno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"{path}: unreadable JSON: {exc}") from None
     if not isinstance(payload, dict):
-        raise ValidationError(f"{path}: strategy file must hold a JSON object")
-    if "samples" in payload:
-        return wave_from_json(text)
-    if payload.get("kind") != "gaussian":
+        raise ValidationError(f"{path}: {what} file must hold a JSON object")
+    return payload
+
+
+def _load_strategy(path: str, grid_override: int | None):
+    """A Gaussian descriptor or an explicit-sample wave, with the same field checks."""
+    payload = _read_json_object(path, "strategy")
+    explicit = "samples" in payload
+    if not explicit and payload.get("kind") != "gaussian":
         raise ValidationError(
             f"{path}: expected kind 'gaussian' or explicit samples")
     for key in ("q_min", "q_max", "n_points"):
         if key not in payload:
             raise ValidationError(f"{path}: missing grid field {key!r}")
     if grid_override is not None:
+        if explicit:
+            raise ValidationError(
+                f"{path}: --grid applies only to Gaussian descriptors")
         n_points = _point_count(grid_override, "--grid")
     else:
         n_points = _point_count(_number(payload, "n_points", path),
                                 f"{path}: field 'n_points'")
+    grid = GridSpec(_number(payload, "q_min", path), _number(payload, "q_max", path),
+                    n_points)
+    if explicit:
+        try:
+            pairs = np.asarray(payload["samples"], dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            pairs = None
+        if pairs is None or pairs.shape != (n_points, 2):
+            raise ValidationError(
+                f"{path}: field 'samples' must be {n_points} [re, im] pairs")
+        return WaveFunction1D(grid, pairs[:, 0] + 1j * pairs[:, 1])
     center = payload.get("center", True)
     if not isinstance(center, bool):
         raise ValidationError(
             f"{path}: field 'center' must be true or false, got {center!r}")
-    grid = GridSpec(_number(payload, "q_min", path), _number(payload, "q_max", path),
-                    n_points)
     return make_gaussian_strategy(_number(payload, "mean", path, default=0.0),
                                   _number(payload, "spread", path, default=1.0), grid,
                                   center=center)
@@ -285,18 +305,11 @@ def _wigner_as_table(grid_view) -> Table:
 
 
 def cmd_qfa(args) -> Report:
+    payload = _read_json_object(args.automaton, "automaton")
     try:
-        text = Path(args.automaton).read_text()
-    except OSError as exc:
-        raise ValidationError(
-            f"cannot read automaton file {args.automaton}: {exc}") from exc
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"{args.automaton}: JSON parse error at line {exc.lineno}: "
-            f"{exc.msg}") from exc
-    automaton = qfa_from_dict(payload)
+        automaton = qfa_from_dict(payload)
+    except ValidationError as exc:
+        raise ValidationError(f"{args.automaton}: {exc}") from None
     words = args.word if args.word else [""]
     rows = [[word, qfa_run(automaton, list(word))] for word in words]
     return Report("qfa",

@@ -282,7 +282,12 @@ def _entries_to_array(value, rank: int, what: str) -> np.ndarray:
     axis of [re, im] pairs.  The expected rank disambiguates the two (a 2x2
     real matrix and a two-entry pair vector share a shape otherwise).
     """
-    arr = np.asarray(value, dtype=float)
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what} is not an array of numbers: {exc}") from None
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{what} holds NaN or infinity")
     if arr.ndim == rank:
         return arr.astype(complex)
     if arr.ndim == rank + 1 and arr.shape[-1] == 2:
@@ -303,11 +308,8 @@ def qfa_from_dict(payload: Mapping[str, object]) -> QFA:
     transitions = payload["transitions"]
     if not isinstance(transitions, Mapping):
         raise ValidationError("transitions must map symbols to matrices")
-    try:
-        initial = _entries_to_array(payload["initial"], 1, "initial")
-        table = {str(sym): _entries_to_array(mat, 2, f"transition {sym!r}")
-                 for sym, mat in transitions.items()}
-        accept = _entries_to_array(payload["accept"], 2, "accept")
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed automaton file: {exc}") from exc
+    initial = _entries_to_array(payload["initial"], 1, "initial")
+    table = {str(sym): _entries_to_array(mat, 2, f"transition {sym!r}")
+             for sym, mat in transitions.items()}
+    accept = _entries_to_array(payload["accept"], 2, "accept")
     return QFA(initial, table, accept)

@@ -429,90 +429,14 @@ def transaction_project(traders: Sequence[WaveFunction1D],
     return outcomes
 
 
-def _require(payload: dict, keys: Sequence[str], what: str) -> None:
-    missing = [k for k in keys if k not in payload]
-    if missing:
-        raise ValidationError(f"{what} is missing {missing}")
-
-
 def wave_to_json(psi: WaveFunction1D) -> str:
+    """The explicit-sample strategy file that ``qgame market`` reads."""
     return json.dumps({
         "q_min": psi.grid.q_min,
         "q_max": psi.grid.q_max,
         "n_points": psi.grid.n_points,
         "samples": [[z.real, z.imag] for z in psi.samples],
     })
-
-
-def wave_from_json(text: str) -> WaveFunction1D:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed wave JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ValidationError("wave JSON must be an object")
-    _require(payload, ("q_min", "q_max", "n_points", "samples"), "wave JSON")
-    grid = GridSpec(float(payload["q_min"]), float(payload["q_max"]),
-                    int(payload["n_points"]))
-    pairs = np.asarray(payload["samples"], dtype=float)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValidationError("samples must be a list of [re, im] pairs")
-    return WaveFunction1D(grid, pairs[:, 0] + 1j * pairs[:, 1])
-
-
-def wave_to_csv(psi: WaveFunction1D) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["q", "re", "im"])
-    for q, z in zip(psi.grid.nodes(), psi.samples):
-        writer.writerow([repr(float(q)), repr(float(z.real)), repr(float(z.imag))])
-    return out.getvalue()
-
-
-def wave_from_csv(text: str) -> WaveFunction1D:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != ["q", "re", "im"]:
-        raise ValidationError("wave CSV must start with header q,re,im")
-    try:
-        data = np.array([[float(a), float(b), float(c)] for a, b, c in rows[1:]])
-    except ValueError as exc:
-        raise ValidationError(f"malformed wave CSV: {exc}") from exc
-    if data.shape[0] < 2:
-        raise ValidationError("wave CSV needs at least two sample rows")
-    q = data[:, 0]
-    step = (q[-1] - q[0]) / (q.size - 1)
-    grid = GridSpec(float(q[0]), float(q[0] + step * q.size), int(q.size))
-    return WaveFunction1D(grid, data[:, 1] + 1j * data[:, 2])
-
-
-def wigner_to_json(w: WignerGrid) -> str:
-    return json.dumps({
-        "h_e": w.h_e,
-        "max_imag": w.max_imag,
-        "aliased": w.aliased,
-        "p_nodes": [float(p) for p in w.p_nodes],
-        "q_nodes": [float(q) for q in w.q_nodes],
-        "values": [[float(v) for v in row] for row in w.values],
-    })
-
-
-def wigner_from_json(text: str) -> WignerGrid:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed grid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ValidationError("grid JSON must be an object")
-    _require(payload, ("h_e", "max_imag", "aliased", "p_nodes", "q_nodes",
-                       "values"), "grid JSON")
-    return WignerGrid(
-        values=np.asarray(payload["values"], dtype=float),
-        p_nodes=np.asarray(payload["p_nodes"], dtype=float),
-        q_nodes=np.asarray(payload["q_nodes"], dtype=float),
-        h_e=float(payload["h_e"]),
-        max_imag=float(payload["max_imag"]),
-        aliased=bool(payload["aliased"]),
-    )
 
 
 def wigner_to_csv(w: WignerGrid) -> str:

@@ -18,9 +18,8 @@ from .pauli import LETTERS, PauliTag
 
 DEFAULT_STEP_CAP = 10_000
 
-# Letters as 2-bit codes: composition mod phase is bitwise XOR.
-_CODE = {"I": 0, "X": 1, "X'": 2, "X''": 3}
-_LETTER = {v: k for k, v in _CODE.items()}
+# Letters as 2-bit codes in LETTERS order: composition mod phase is bitwise XOR.
+_CODE = {letter: code for code, letter in enumerate(LETTERS)}
 
 
 def _as_target(target) -> str:

@@ -20,7 +20,11 @@ ROOT = Path(__file__).resolve().parents[1]
 DOCS = ROOT / "docs"
 SCHEMA = json.loads((DOCS / "report.schema.json").read_text())
 GAUSSIAN = str(DOCS / "examples" / "gaussian.json")
+WAVE = str(DOCS / "examples" / "wave.json")
 AUTOMATON = str(DOCS / "examples" / "flip_automaton.json")
+_GAUSSIAN_64 = {"kind": "gaussian", "q_min": -8.0, "q_max": 8.0, "n_points": 64}
+_WAVE_64 = json.loads(Path(WAVE).read_text())
+_FLIP = json.loads(Path(AUTOMATON).read_text())
 
 
 def run(capsys, argv):
@@ -66,16 +70,28 @@ class TestExitCodes:
         assert code == 2
         assert "absent.json" in err
 
-    @pytest.mark.parametrize("field", ["q_min", "q_max", "n_points", "mean", "spread"])
-    def test_market_non_numeric_field_is_refused(self, capsys, tmp_path, field):
-        payload = {"kind": "gaussian", "q_min": -8.0, "q_max": 8.0, "n_points": 64}
-        payload[field] = "a"
+    @pytest.mark.parametrize("base, field", [
+        *[pytest.param(_GAUSSIAN_64, field, id=field)
+          for field in ("q_min", "q_max", "n_points", "mean", "spread")],
+        *[pytest.param(_WAVE_64, field, id=f"wave-{field}")
+          for field in ("q_min", "q_max", "n_points", "samples")],
+    ])
+    def test_market_non_numeric_field_is_refused(self, capsys, tmp_path, base, field):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(payload))
+        bad.write_text(json.dumps({**base, field: "a"}))
         code, out, err = run(capsys, ["market", str(bad)])
         assert code == 2
         assert str(bad) in err and repr(field) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("base", [_GAUSSIAN_64, _WAVE_64], ids=["gaussian", "wave"])
+    def test_market_missing_grid_field_is_refused(self, capsys, tmp_path, base):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({k: v for k, v in base.items() if k != "q_max"}))
+        code, out, err = run(capsys, ["market", str(bad)])
+        assert code == 2
+        assert str(bad) in err and "'q_max'" in err
+        assert out == ""
 
     def test_bad_qubit_limit_is_a_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("QGAME_MAX_QUBITS", "abc")
@@ -84,11 +100,15 @@ class TestExitCodes:
         assert "QGAME_MAX_QUBITS" in err
         assert out == ""
 
-    @pytest.mark.parametrize("n_points", [64.9, 2**40], ids=["fractional", "huge"])
-    def test_market_bad_point_count_is_refused(self, capsys, tmp_path, n_points):
+    @pytest.mark.parametrize("base, n_points", [
+        pytest.param(_GAUSSIAN_64, 64.9, id="fractional"),
+        pytest.param(_GAUSSIAN_64, 2**40, id="huge"),
+        pytest.param(_WAVE_64, 64.9, id="wave-fractional"),
+        pytest.param(_WAVE_64, 8192, id="wave-oversized"),
+    ])
+    def test_market_bad_point_count_is_refused(self, capsys, tmp_path, base, n_points):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"kind": "gaussian", "q_min": -8.0,
-                                   "q_max": 8.0, "n_points": n_points}))
+        bad.write_text(json.dumps({**base, "n_points": n_points}))
         code, out, err = run(capsys, ["market", str(bad)])
         assert code == 2
         assert str(bad) in err and "'n_points'" in err
@@ -100,6 +120,20 @@ class TestExitCodes:
         assert "--grid" in err
         assert out == ""
 
+    def test_market_grid_on_explicit_samples_is_refused(self, capsys):
+        code, out, err = run(capsys, ["market", WAVE, "--grid", "1024"])
+        assert code == 2
+        assert WAVE in err and "--grid" in err
+        assert out == ""
+
+    def test_market_wrong_sample_count_is_refused(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**_WAVE_64, "samples": [[0.0, 0.0]] * 8192}))
+        code, out, err = run(capsys, ["market", str(bad)])
+        assert code == 2
+        assert str(bad) in err and "'samples'" in err
+        assert out == ""
+
     def test_market_non_boolean_center_is_refused(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"kind": "gaussian", "q_min": -8.0,
@@ -108,6 +142,21 @@ class TestExitCodes:
         code, out, err = run(capsys, ["market", str(bad)])
         assert code == 2
         assert str(bad) in err and "'center'" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("text, named", [
+        pytest.param("5", "JSON object", id="not_an_object"),
+        pytest.param(json.dumps({**_FLIP, "initial": [10**400, 0]}), "initial",
+                     id="huge_initial"),
+        pytest.param(json.dumps({**_FLIP, "initial": [float("nan"), 0]}), "initial",
+                     id="nan_initial"),
+    ])
+    def test_qfa_unusable_file_is_refused(self, capsys, tmp_path, text, named):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code, out, err = run(capsys, ["qfa", str(bad)])
+        assert code == 2
+        assert str(bad) in err and named in err
         assert out == ""
 
     def test_unwritable_out_path_is_a_usage_error(self, capsys, tmp_path):
@@ -154,29 +203,62 @@ _PLAUSIBLE = {
 }
 
 
+# Explicit-sample files: the example wave, a sample count that disagrees
+# with its grid, and samples that are not normalized.
+_WAVE_PLAUSIBLE = {
+    "q_min": st.just(_WAVE_64["q_min"]),
+    "q_max": st.just(_WAVE_64["q_max"]),
+    "n_points": st.sampled_from([64, 128]),
+    "samples": st.sampled_from([_WAVE_64["samples"], _WAVE_64["samples"][:32],
+                                [[1.0, 0.0]] * 64]),
+}
+_FLIP_PLAUSIBLE = {
+    "initial": st.one_of(st.just(_FLIP["initial"]),
+                         st.lists(st.floats(-2.0, 2.0), max_size=3)),
+    "transitions": st.one_of(st.just(_FLIP["transitions"]),
+                             st.dictionaries(st.text(max_size=2), _JUNK, max_size=2)),
+    "accept": st.one_of(st.just(_FLIP["accept"]), st.just([[1.0, 0.0], [0.0, 0.0]])),
+}
+
+
 @st.composite
-def _strategy_payloads(draw):
+def _payloads(draw, fields):
     payload = {}
-    for key, plausible in _PLAUSIBLE.items():
+    for key, plausible in fields.items():
         choice = draw(st.sampled_from(["plausible", "junk", "missing"]))
         if choice != "missing":
             payload[key] = draw(plausible if choice == "plausible" else _JUNK)
     return payload
 
 
-@settings(max_examples=150, deadline=None)
-@given(_strategy_payloads(), st.sampled_from([[], ["--grid", "0"], ["--grid", "128"]]))
-def test_market_exit_code_contract_holds_for_any_payload(payload, extra):
+def _exit_code(command, payload, extra):
+    """Exit code and output of one run; an escaping exception fails the test."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "strategy.json"
+        path = Path(tmp) / "input.json"
         path.write_text(json.dumps(payload))
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             try:
-                code = main(["market", str(path), "--output", "json", *extra])
+                code = main([command, str(path), "--output", "json", *extra])
             except SystemExit as exc:
                 code = exc.code
-    assert code in (0, 1, 2), sink.getvalue()
+    return code, sink.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_payloads(_PLAUSIBLE), _payloads(_WAVE_PLAUSIBLE)),
+       st.sampled_from([[], ["--grid", "0"], ["--grid", "128"]]))
+def test_market_exit_code_contract_holds_for_any_payload(payload, extra):
+    code, output = _exit_code("market", payload, extra)
+    assert code in (0, 1, 2), output
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_payloads(_FLIP_PLAUSIBLE), _JUNK),
+       st.sampled_from([[], ["--word", "a"], ["--word", "ab"]]))
+def test_qfa_exit_code_contract_holds_for_any_payload(payload, extra):
+    code, output = _exit_code("qfa", payload, extra)
+    assert code in (0, 1, 2), output
 
 
 def test_cli_import_loads_no_scipy():

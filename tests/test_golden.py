@@ -23,6 +23,7 @@ CASES = {
     "gamble": (["gamble"], 0),
     "walk": (["walk"], 0),
     "market_gaussian": (["market", "docs/examples/gaussian.json"], 0),
+    "market_wave": (["market", "docs/examples/wave.json"], 0),
     "qfa_flip_aa": (["qfa", "docs/examples/flip_automaton.json", "--word", "aa"], 0),
 }
 

@@ -1,6 +1,5 @@
 """Strategy waves, trade probability integrals, phase-space densities."""
 
-import json
 import math
 
 import numpy as np
@@ -25,14 +24,8 @@ from qgame.market import (
     supply_cdf,
     to_momentum,
     transaction_project,
-    wave_from_csv,
-    wave_from_json,
-    wave_to_csv,
-    wave_to_json,
     wigner,
-    wigner_from_json,
     wigner_to_csv,
-    wigner_to_json,
 )
 
 GRID = GridSpec(-8.0, 8.0, 512)
@@ -300,28 +293,6 @@ class TestTransactions:
 
 
 class TestSerialization:
-    def test_wave_json_round_trip_is_bit_exact(self):
-        psi = make_gaussian_strategy(0.0, 1.0, GridSpec(-8.0, 8.0, 64))
-        text = wave_to_json(psi)
-        again = wave_from_json(text)
-        assert np.array_equal(again.samples, psi.samples)
-        assert again.grid == psi.grid
-        assert wave_to_json(again) == text
-
-    def test_wave_csv_round_trip(self):
-        psi = make_gaussian_strategy(0.0, 1.0, GridSpec(-8.0, 8.0, 64))
-        again = wave_from_csv(wave_to_csv(psi))
-        assert np.array_equal(again.samples, psi.samples)
-        assert again.grid.n_points == 64
-
-    def test_wigner_json_round_trip(self):
-        w = wigner(make_gaussian_strategy(0.0, 1.0, GridSpec(-8.0, 8.0, 64)))
-        text = wigner_to_json(w)
-        again = wigner_from_json(text)
-        assert np.array_equal(again.values, w.values)
-        assert again.aliased == w.aliased
-        assert wigner_to_json(again) == text
-
     def test_wigner_csv_layout(self):
         w = wigner(make_gaussian_strategy(0.0, 1.0, GridSpec(-8.0, 8.0, 64)))
         lines = wigner_to_csv(w).strip().splitlines()
@@ -329,7 +300,3 @@ class TestSerialization:
         head = lines[0].split(",")
         assert head[0] == "p\\q"
         assert len(head) == 65
-
-    def test_json_parse_errors(self):
-        with pytest.raises(ValidationError):
-            wave_from_json(json.dumps({"q_min": 0.0}))
