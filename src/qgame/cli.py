@@ -45,7 +45,7 @@ from .market import (
     make_gaussian_strategy,
     supply_cdf,
     wigner,
-    wigner_to_csv,
+    wigner_to_csv,  # noqa: F401  (perfbench/tracer.py wraps this name)
 )
 from .report import CheckRecord, Report, Table
 from .transfer import transfer_byproduct_distribution, verify_universality
@@ -180,13 +180,18 @@ def cmd_walk(args) -> Report:
 
 
 def _number(payload: dict, key: str, path: str, default=None) -> float:
-    """One numeric field of a strategy file; a bad value names the file and field."""
+    """One numeric field of a strategy file; a bad value names the file and field.
+
+    JSON strings and booleans are refused, although ``float`` would accept
+    ``"8"`` and ``true``.
+    """
     value = payload.get(key, default)
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(
-            f"{path}: field {key!r} must be a number, got {value!r}") from None
+    if not isinstance(value, (str, bool)):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValidationError(f"{path}: field {key!r} must be a number, got {value!r}")
 
 
 def _point_count(value: int | float, source: str) -> int:
@@ -298,10 +303,10 @@ def cmd_market(args) -> Report:
 
 
 def _wigner_as_table(grid_view) -> Table:
-    lines = wigner_to_csv(grid_view).strip().splitlines()
-    header = lines[0].split(",")
-    rows = [line.split(",") for line in lines[1:]]
-    return Table(columns=header, rows=rows)
+    """The grid as a table of Python floats: rows follow p, columns follow q."""
+    return Table(columns=["p\\q", *map(repr, grid_view.q_nodes.tolist())],
+                 rows=[[p, *row] for p, row in zip(grid_view.p_nodes.tolist(),
+                                                   grid_view.values.tolist())])
 
 
 def cmd_qfa(args) -> Report:

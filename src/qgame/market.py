@@ -310,15 +310,17 @@ def wigner(psi: WaveFunction1D, *, h_e: float = TWO_PI) -> WignerGrid:
         if lo <= hi:
             jj = j[lo:hi + 1]
             folded[r, lo:hi + 1] = vec[jj + r - n] * np.conj(vec[jj - r + n])
-    signs = np.where(j % 2 == 0, 1.0, -1.0)
-    raw = (2.0 * step / h_e) * n * np.fft.ifft(signs[:, None] * folded, axis=0)
+    # Shift, transform and scale in the one n x n buffer.
+    folded[1::2] *= -1.0
+    np.fft.ifft(folded, axis=0, out=folded)
+    folded *= (2.0 * step / h_e) * n
     p_nodes = math.pi * hbar * (j - n // 2) / (n * step)
     return WignerGrid(
-        values=np.ascontiguousarray(raw.real),
+        values=np.ascontiguousarray(folded.real),
         p_nodes=p_nodes,
         q_nodes=grid.nodes(),
         h_e=h_e,
-        max_imag=float(np.max(np.abs(raw.imag))),
+        max_imag=float(np.max(np.abs(folded.imag))),
         aliased=_boundary_mass(psi) > _ALIAS_MASS,
     )
 
@@ -440,9 +442,10 @@ def wave_to_json(psi: WaveFunction1D) -> str:
 
 
 def wigner_to_csv(w: WignerGrid) -> str:
+    """The grid as CSV text: a ``p\\q`` header of q nodes, then one row per p node."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["p\\q"] + [repr(float(q)) for q in w.q_nodes])
-    for p, row in zip(w.p_nodes, w.values):
-        writer.writerow([repr(float(p))] + [repr(float(v)) for v in row])
+    writer.writerow(["p\\q", *map(repr, w.q_nodes.tolist())])
+    writer.writerows([repr(p), *map(repr, row)]
+                     for p, row in zip(w.p_nodes.tolist(), w.values.tolist()))
     return out.getvalue()

@@ -109,8 +109,7 @@ class Report:
         for name, table in self.tables.items():
             writer.writerow([f"# table {name}"])
             writer.writerow(table.columns)
-            for row in table.rows:
-                writer.writerow([_format(v) for v in row])
+            writer.writerows(map(_format, row) for row in table.rows)
         return out.getvalue()
 
     def to_text(self) -> str:

@@ -21,6 +21,13 @@ DEFAULT_STEP_CAP = 10_000
 # Letters as 2-bit codes in LETTERS order: composition mod phase is bitwise XOR.
 _CODE = {letter: code for code, letter in enumerate(LETTERS)}
 
+# The batch sampler draws windows of _WINDOW steps for at most _BLOCK pending
+# walks at a time.  Consecutive block draws continue one generator stream, so
+# the step counts do not depend on _BLOCK, and the draw buffers stay bounded
+# whatever the trial count.
+_WINDOW = 64
+_BLOCK = 1 << 15
+
 
 def _as_target(target) -> str:
     if isinstance(target, PauliTag):
@@ -71,7 +78,8 @@ def walk_steps_batch(target, rng: np.random.Generator, trials: int, *,
 
     The letter draws are honest (each walk composes uniform letters until it
     hits); composition mod phase reduces to XOR on 2-bit codes, which is what
-    lets the whole batch run as array operations.
+    lets the whole batch run as array operations.  Memory beyond the
+    per-trial bookkeeping is bounded by one block of ``_BLOCK`` walks.
     """
     goal_code = _CODE[_as_target(target)]
     if trials < 1:
@@ -79,20 +87,26 @@ def walk_steps_batch(target, rng: np.random.Generator, trials: int, *,
     if goal_code == 0:
         return np.zeros(trials, dtype=np.int64)
     steps = np.zeros(trials, dtype=np.int64)
-    pending = np.arange(trials)
-    carry = np.zeros(trials, dtype=np.int64)
-    window = 64
+    # Narrow bookkeeping: trial indices fit int32 up to 2**31 walks, and the
+    # running word of each walk is a 2-bit code.
+    pending = np.arange(trials, dtype=np.int32 if trials < 2**31 else np.int64)
+    carry = np.zeros(trials, dtype=np.uint8)
     offset = 0
     while pending.size and offset < step_cap:
-        width = min(window, step_cap - offset)
-        draws = rng.integers(4, size=(pending.size, width))
-        running = carry[pending, None] ^ np.bitwise_xor.accumulate(draws, axis=1)
-        hits = running == goal_code
-        any_hit = hits.any(axis=1)
-        first = np.argmax(hits, axis=1)
-        steps[pending[any_hit]] = offset + first[any_hit] + 1
-        carry[pending] = running[:, -1]
-        pending = pending[~any_hit]
+        width = min(_WINDOW, step_cap - offset)
+        survivors = []
+        for start in range(0, pending.size, _BLOCK):
+            rows = pending[start:start + _BLOCK]
+            running = rng.integers(4, size=(rows.size, width))
+            np.bitwise_xor.accumulate(running, axis=1, out=running)
+            running ^= carry[rows, None]
+            hits = running == goal_code
+            any_hit = hits.any(axis=1)
+            first = np.argmax(hits, axis=1)
+            steps[rows[any_hit]] = offset + first[any_hit] + 1
+            carry[rows] = running[:, -1]
+            survivors.append(rows[~any_hit])
+        pending = np.concatenate(survivors)
         offset += width
     if pending.size:
         raise StepCapError(

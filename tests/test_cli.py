@@ -70,15 +70,25 @@ class TestExitCodes:
         assert code == 2
         assert "absent.json" in err
 
-    @pytest.mark.parametrize("base, field", [
-        *[pytest.param(_GAUSSIAN_64, field, id=field)
+    @pytest.mark.parametrize("base, field, value", [
+        *[pytest.param(_GAUSSIAN_64, field, "a", id=field)
           for field in ("q_min", "q_max", "n_points", "mean", "spread")],
-        *[pytest.param(_WAVE_64, field, id=f"wave-{field}")
+        *[pytest.param(_WAVE_64, field, "a", id=f"wave-{field}")
           for field in ("q_min", "q_max", "n_points", "samples")],
+        # float() reads numeric strings and booleans as numbers.
+        *[pytest.param(_GAUSSIAN_64, field, value, id=f"{field}-{type(value).__name__}")
+          for field, value in (("q_min", "-8"), ("q_max", "8"), ("n_points", "64"),
+                               ("mean", "0.5"), ("spread", "1"), ("spread", True),
+                               ("mean", False))],
+        *[pytest.param(_WAVE_64, field, value,
+                       id=f"wave-{field}-{type(value).__name__}")
+          for field, value in (("q_min", "-8"), ("q_max", "8"), ("n_points", "64"),
+                               ("q_min", True))],
     ])
-    def test_market_non_numeric_field_is_refused(self, capsys, tmp_path, base, field):
+    def test_market_non_numeric_field_is_refused(self, capsys, tmp_path, base, field,
+                                                 value):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({**base, field: "a"}))
+        bad.write_text(json.dumps({**base, field: value}))
         code, out, err = run(capsys, ["market", str(bad)])
         assert code == 2
         assert str(bad) in err and repr(field) in err

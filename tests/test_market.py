@@ -1,6 +1,7 @@
 """Strategy waves, trade probability integrals, phase-space densities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,6 +215,19 @@ class TestWigner:
         flat = WaveFunction1D.normalized(
             GRID, np.ones(GRID.n_points, dtype=complex))
         assert wigner(flat).aliased
+
+    def test_transform_reuses_one_complex_buffer(self):
+        # One n x n complex work array plus the real grid and the residue
+        # scan; a copy per shift or scaling step would add n^2 x 16 bytes each.
+        n = 1024
+        psi = _gaussian(grid=GridSpec(-8.0, 8.0, n))
+        tracemalloc.start()
+        try:
+            wigner(psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * n * n * 16
 
 
 class TestMixture:

@@ -1,11 +1,15 @@
 """Random-walk correction draws against the geometric model."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qgame import StepCapError, ValidationError
+from qgame import walk as walk_module
 from qgame.pauli import PauliTag
 from qgame.walk import (
+    DEFAULT_STEP_CAP,
     pauli_walk,
     survival_empirical,
     survival_model,
@@ -83,6 +87,50 @@ def test_batch_step_cap_raises_when_exhausted():
     with pytest.raises(StepCapError):
         # Cap of 1 with many trials: some walk always needs a second draw.
         walk_steps_batch("X", np.random.default_rng(3), 1000, step_cap=1)
+
+
+def _batch_with_block(monkeypatch, block, window, step_cap):
+    """Step counts (or the cap error) and the generator state after one batch."""
+    monkeypatch.setattr(walk_module, "_BLOCK", block)
+    monkeypatch.setattr(walk_module, "_WINDOW", window)
+    rng = np.random.default_rng(2718)
+    try:
+        result = walk_steps_batch("X", rng, TRIALS, step_cap=step_cap)
+    except StepCapError as exc:
+        result = (str(exc), exc.steps)
+    return result, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("window, step_cap, capped", [
+    pytest.param(walk_module._WINDOW, DEFAULT_STEP_CAP, False, id="uncapped"),
+    pytest.param(walk_module._WINDOW, 5, True, id="cap5"),
+    # Windows of 7 steps: several windows, a last one 2 steps wide, then the cap.
+    pytest.param(7, 30, True, id="window7-cap30"),
+])
+def test_batch_does_not_depend_on_the_block_size(monkeypatch, window, step_cap, capped):
+    # Block draws continue one stream, so only the window fixes the draw order.
+    runs = [_batch_with_block(monkeypatch, block, window, step_cap)
+            for block in (3, 1000, walk_module._BLOCK)]
+    (first, state), rest = runs[0], runs[1:]
+    assert isinstance(first, tuple) == capped
+    for result, other_state in rest:
+        if capped:
+            assert result == first
+        else:
+            np.testing.assert_array_equal(result, first)
+        assert other_state == state
+
+
+def test_batch_memory_does_not_grow_with_trials():
+    # One block of draws plus O(trials) bookkeeping; a single trials x 64
+    # window of int64 draws would be 512 MB here.
+    tracemalloc.start()
+    try:
+        walk_steps_batch("X", np.random.default_rng(5), 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 10**6
 
 
 def test_bad_targets_and_caps_are_rejected():
