@@ -44,6 +44,7 @@ from .market import (
     demand_cdf,
     make_gaussian_strategy,
     supply_cdf,
+    to_momentum,
     wigner,
     wigner_to_csv,  # noqa: F401  (perfbench/tracer.py wraps this name)
 )
@@ -179,19 +180,40 @@ def cmd_walk(args) -> Report:
     return Report("walk", config, checks, {"survival": table})
 
 
-def _number(payload: dict, key: str, path: str, default=None) -> float:
-    """One numeric field of a strategy file; a bad value names the file and field.
+def _real(value) -> float | None:
+    """A JSON number as a float, or None for anything else.
 
     JSON strings and booleans are refused, although ``float`` would accept
     ``"8"`` and ``true``.
     """
-    value = payload.get(key, default)
     if not isinstance(value, (str, bool)):
         try:
             return float(value)
         except (TypeError, ValueError, OverflowError):
             pass
-    raise ValidationError(f"{path}: field {key!r} must be a number, got {value!r}")
+    return None
+
+
+def _number(payload: dict, key: str, path: str, default=None) -> float:
+    """One numeric field of a strategy file; a bad value names the file and field."""
+    value = payload.get(key, default)
+    number = _real(value)
+    if number is None:
+        raise ValidationError(f"{path}: field {key!r} must be a number, got {value!r}")
+    return number
+
+
+def _sample_pairs(samples, n_points: int, path: str) -> np.ndarray:
+    """The explicit ``samples`` field as an (n_points, 2) array; every entry is
+    read by the same rule as a numeric field."""
+    pairs = None
+    if isinstance(samples, list) and all(isinstance(pair, list) for pair in samples):
+        pairs = [[_real(x) for x in pair] for pair in samples]
+    if (pairs is None or len(pairs) != n_points
+            or any(len(pair) != 2 or None in pair for pair in pairs)):
+        raise ValidationError(
+            f"{path}: field 'samples' must be {n_points} [re, im] pairs of numbers")
+    return np.array(pairs)
 
 
 def _point_count(value: int | float, source: str) -> int:
@@ -249,13 +271,7 @@ def _load_strategy(path: str, grid_override: int | None):
     grid = GridSpec(_number(payload, "q_min", path), _number(payload, "q_max", path),
                     n_points)
     if explicit:
-        try:
-            pairs = np.asarray(payload["samples"], dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            pairs = None
-        if pairs is None or pairs.shape != (n_points, 2):
-            raise ValidationError(
-                f"{path}: field 'samples' must be {n_points} [re, im] pairs")
+        pairs = _sample_pairs(payload["samples"], n_points, path)
         return WaveFunction1D(grid, pairs[:, 0] + 1j * pairs[:, 1])
     center = payload.get("center", True)
     if not isinstance(center, bool):
@@ -269,7 +285,9 @@ def _load_strategy(path: str, grid_override: int | None):
 def cmd_market(args) -> Report:
     psi = _load_strategy(args.strategy, args.grid)
     prices = [float(c) for c in np.exp(np.linspace(-2.0, 2.0, 9))]
-    cdf_rows = [[price, demand_cdf(psi, price), supply_cdf(psi, price)]
+    momentum = to_momentum(psi)
+    cdf_rows = [[price, demand_cdf(psi, price),
+                 supply_cdf(momentum, price, in_momentum_rep=True)]
                 for price in prices]
     grid_view = wigner(psi)
     norm_gap = abs(grid_view.normalization() - 1.0)
@@ -323,13 +341,35 @@ def cmd_qfa(args) -> Report:
                                            rows=rows)})
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer, as seeded_rng needs."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
+def _finite(text: str) -> float:
+    """A ``--corrupt`` value: a NaN or infinite phase makes no gate set."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qgame",
         description="Quantum game toolbox: identity ledgers, game runs, "
                     "market tables.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
+    common.add_argument("--seed", type=_seed, default=0,
                         help="base seed for all sampling (default 0)")
     common.add_argument("--trials", type=int, default=10_000,
                         help="Monte-Carlo round count (default 10000)")
@@ -346,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="run the full identity and synthesis ledger")
     p_verify.add_argument("--only", metavar="CHECK",
                           help="keep a single named check in the report")
-    p_verify.add_argument("--corrupt", type=float, default=0.0, metavar="EPS",
+    p_verify.add_argument("--corrupt", type=_finite, default=0.0, metavar="EPS",
                           help="rotate the switch gate's phase by EPS radians "
                                "(negative control)")
     p_verify.set_defaults(run=cmd_verify)

@@ -34,16 +34,21 @@ def _check_wires(targets: Sequence[int], n_qubits: int, width: int) -> tuple[int
 
 
 def apply_matrix(vec: np.ndarray, mat: np.ndarray, targets: Sequence[int], n_qubits: int) -> np.ndarray:
-    """Apply a k-wire matrix to the chosen wires of a flat amplitude vector."""
+    """Apply a k-wire matrix to the chosen wires of a flat amplitude vector.
+
+    ``vec`` is one register of shape ``(2**n_qubits,)`` or a block of shape
+    ``(2**n_qubits, b)`` whose b columns are registers; every column gets the
+    same matrix in one contraction, and the result has the shape of ``vec``.
+    """
     k = int(mat.shape[0]).bit_length() - 1
     if mat.shape != (2**k, 2**k):
         raise ValidationError(f"matrix shape {mat.shape} is not a k-qubit operator")
     wires = _check_wires(targets, n_qubits, k)
-    psi = vec.reshape((2,) * n_qubits)
+    psi = vec.reshape((2,) * n_qubits + vec.shape[1:])
     op = mat.reshape((2,) * (2 * k))
     out = np.tensordot(op, psi, axes=(tuple(range(k, 2 * k)), wires))
     out = np.moveaxis(out, tuple(range(k)), wires)
-    return np.ascontiguousarray(out).reshape(-1)
+    return np.ascontiguousarray(out).reshape(vec.shape)
 
 
 def apply_gate(state: QState, gate, targets: Sequence[int]) -> QState:
@@ -57,10 +62,14 @@ def apply_gate(state: QState, gate, targets: Sequence[int]) -> QState:
 
 
 def partial_inner(vec: np.ndarray, local: np.ndarray, wire: int, n_qubits: int) -> np.ndarray:
-    """Contract <local| against one wire, returning the remaining register."""
-    psi = vec.reshape((2,) * n_qubits)
+    """Contract <local| against one wire, returning the remaining register.
+
+    Like :func:`apply_matrix`, ``vec`` may be a ``(2**n_qubits, b)`` block of
+    column registers; the result is then ``(2**(n_qubits - 1), b)``.
+    """
+    psi = vec.reshape((2,) * n_qubits + vec.shape[1:])
     out = np.tensordot(local.conj(), psi, axes=([0], [wire]))
-    return np.ascontiguousarray(out).reshape(-1)
+    return np.ascontiguousarray(out).reshape((-1,) + vec.shape[1:])
 
 
 @dataclass(frozen=True)

@@ -197,16 +197,25 @@ def equal_up_to_global_phase(a, b, atol: float = ATOL_CIRCUIT):
     y = b.amplitudes if isinstance(b, QState) else (b.matrix if isinstance(b, Operator) else np.asarray(b, dtype=complex))
     if x.shape != y.shape:
         return False, None
-    overlap = np.vdot(x, y)
-    if abs(overlap) < atol * max(1.0, float(np.linalg.norm(x)) ** 2):
-        # Orthogonal or one side is zero: no phase can align them unless both vanish.
-        if np.allclose(x, 0, atol=atol) and np.allclose(y, 0, atol=atol):
-            return True, 1.0 + 0.0j
-        return False, None
-    phase = overlap / abs(overlap)
-    if np.allclose(y, phase * x, atol=atol):
-        return True, complex(phase)
-    return False, None
+    ok, phase = equal_up_to_global_phase_by_column(x.reshape(-1, 1), y.reshape(-1, 1), atol)
+    return (True, complex(phase[0])) if ok[0] else (False, None)
+
+
+def equal_up_to_global_phase_by_column(x: np.ndarray, y: np.ndarray, atol: float = ATOL_CIRCUIT):
+    """:func:`equal_up_to_global_phase` for each column pair of two ``(d, k)`` blocks.
+
+    Returns ``(flags, phases)``, two length-k arrays; ``y[:, j] ~ phases[j] *
+    x[:, j]`` where ``flags[j]`` is true, and ``phases[j]`` means nothing
+    elsewhere.
+    """
+    overlap = np.einsum("ij,ij->j", x.conj(), y)
+    size = np.abs(overlap)
+    # Orthogonal or one side is zero: no phase can align them unless both vanish.
+    orthogonal = size < atol * np.maximum(1.0, np.einsum("ij,ij->j", x.conj(), x).real)
+    vanish = np.all(np.isclose(x, 0, atol=atol) & np.isclose(y, 0, atol=atol), axis=0)
+    phase = np.where(orthogonal, 1.0, overlap / np.where(orthogonal, 1.0, size))
+    close = np.all(np.isclose(y, phase * x, atol=atol), axis=0)
+    return np.where(orthogonal, vanish, close), phase
 
 
 def fidelity(a: QState, b: QState) -> float:

@@ -13,6 +13,9 @@ Each branch acts on the logical input as a fixed linear map that factors as
 word is the reported byproduct; a random walk over Pauli words (see
 :mod:`qgame.walk`) undoes it.  A chain's byproduct table depends only on the
 chain and the gates it reads, so it is computed once per gate set and cached.
+Because each branch is linear, the runner takes a block of registers as the
+columns of one array: the public entry points pass one column, while the
+byproduct tables and the verify ledger pass every input at once.
 """
 
 from __future__ import annotations
@@ -28,10 +31,10 @@ from .config import ATOL_ALGEBRA, ATOL_CIRCUIT, PROB_EPS
 from .errors import QGameError, ValidationError
 from .gates import (CNOT, DEFAULT_GATES, I2, OBS_DIAG, OBS_X, OBS_X_MINUS_SECOND, OBS_X_PRIME,
                     OBS_X_SECOND, SIGMA_X, SIGMA_Y, SIGMA_Z, GateSet, Observable)
-from .measure import Branch, apply_matrix, measure, partial_inner
+from .measure import Branch, apply_matrix, partial_inner
 from .pauli import PauliTag, match_pauli_word, tag_from_scalar
 from .report import CheckRecord
-from .states import QState, equal_up_to_global_phase, random_state
+from .states import QState, equal_up_to_global_phase_by_column, random_state
 
 _DISCARD_MASS_ATOL = 1e-12
 
@@ -62,18 +65,31 @@ class TransferOutcome(Branch):
     branch_map: np.ndarray
 
 
-def _run_chain(vec: np.ndarray, n: int, steps, mode: str, rng, consumed=None):
-    """Walk a step chain, branching at measurements.
+def _masses(block: np.ndarray) -> np.ndarray:
+    """Squared norm of each column."""
+    return np.einsum("ij,ij->j", block.conj(), block).real
 
-    Returns (signs, mass, unnormalized amplitudes) per branch, the mass being
-    its probability.  ``consumed = (wire, k)`` drops ``wire``, which the k-th
-    measurement left in an eigenstate.  Sample mode follows one drawn path.
+
+def _run_chain(block: np.ndarray, n: int, steps, mode: str, rng, consumed=None):
+    """Walk a step chain over a block of registers, branching at measurements.
+
+    ``block`` has shape ``(2**n, k)``: k registers as columns, which every
+    step acts on in one kernel call.  Returns ``(branches, fault)``.  Each
+    branch is (signs, masses, unnormalized amplitudes), with a length-k mass
+    array, each column's probability.  A branch is dropped when every column's
+    mass falls below PROB_EPS at a measurement; a column below it in a kept
+    branch is zeroed there, mass 0, as if that outcome could not occur for it.
+    ``consumed = (wire, j)`` drops ``wire``, which the j-th measurement left in
+    an eigenstate.  ``fault`` is None, or (column, ValidationError) for the
+    lowest column whose register is still entangled with that wire, from its
+    first such branch.  Sample mode follows one path drawn from column 0's
+    masses, so it takes a single column.
     """
     if mode not in ("enumerate", "sample"):
         raise ValidationError(f"mode must be 'enumerate' or 'sample', got {mode!r}")
     if mode == "sample" and rng is None:
         raise ValidationError("sample mode needs an rng")
-    paths = [((), vec)]
+    paths = [((), block)]
     for step in steps:
         if isinstance(step, GateStep):
             paths = [(signs, apply_matrix(v, step.gate, step.wires, n)) for signs, v in paths]
@@ -83,37 +99,44 @@ def _run_chain(vec: np.ndarray, n: int, steps, mode: str, rng, consumed=None):
             children = []
             for sign in (+1, -1):
                 w = apply_matrix(v, step.obs.projector(sign), step.wires, n)
-                mass = float(np.vdot(w, w).real)
-                if mass < PROB_EPS:
+                mass = _masses(w)
+                dead = mass < PROB_EPS
+                if dead.all():
                     continue
+                w[:, dead] = 0.0
                 children.append((signs + (sign,), w, mass))
             if mode == "sample":
-                masses = np.array([c[2] for c in children])
+                masses = np.array([c[2][0] for c in children])
                 pick = int(rng.choice(len(children), p=masses / masses.sum()))
                 children = [children[pick]]
             forked.extend((s, w) for s, w, _ in children)
         paths = forked
     measures = [s for s in steps if isinstance(s, MeasureStep)]
-    out = []
+    out, fault = [], None
     for signs, v in paths:
-        mass = float(np.vdot(v, v).real)
+        mass = _masses(v)
         if consumed is not None:
-            wire, k = consumed
-            v = partial_inner(v, measures[k].obs.eigenvector(signs[k]), wire, n)
-            kept = float(np.vdot(v, v).real)
-            if abs(kept - mass) > _DISCARD_MASS_ATOL * max(mass, 1e-30):
-                raise ValidationError(
+            wire, j = consumed
+            v = partial_inner(v, measures[j].obs.eigenvector(signs[j]), wire, n)
+            kept = _masses(v)
+            (bad,) = np.nonzero(np.abs(kept - mass) > _DISCARD_MASS_ATOL * np.maximum(mass, 1e-30))
+            if bad.size and (fault is None or bad[0] < fault[0]):
+                c = int(bad[0])
+                fault = (c, ValidationError(
                     f"wire {wire} is still entangled with the register "
-                    f"(mass {mass:.3e} -> {kept:.3e}); cannot discard it")
+                    f"(mass {mass[c]:.3e} -> {kept[c]:.3e}); cannot discard it"))
         out.append((signs, mass, v))
-    return out
+    return out, fault
 
 
 def _branches(state: QState, steps, mode, rng, package, consumed=None):
     """Each branch on the caller's register as ``package(signs, prob, state)``."""
-    out = [package(signs, mass, QState(v / np.sqrt(mass)))
-           for signs, mass, v in _run_chain(state.amplitudes, state.n_qubits, steps,
-                                            mode, rng, consumed)]
+    paths, fault = _run_chain(state.amplitudes[:, None], state.n_qubits, steps, mode, rng,
+                              consumed)
+    if fault is not None:
+        raise fault[1]
+    out = [package(signs, float(mass[0]), QState(v[:, 0] / np.sqrt(mass[0])))
+           for signs, mass, v in paths]
     return out[0] if mode == "sample" else out
 
 
@@ -125,9 +148,7 @@ class _Chain:
 
     steps: tuple
     target: np.ndarray | str      # gate the chain is meant to implement
-    entry: str                    # public function that runs this chain,
-    detail: str                   # what its verify ledger row asserts,
-    options: tuple = ()           # and the keyword arguments selecting it
+    detail: str                   # what its verify ledger row asserts
     wires: tuple[int, ...] = (0, 1)
     input_wires: tuple[int, ...] = (0,)  # canonical wires the input enters on, ascending
     consumed: int = 0             # canonical wire measured away at the end
@@ -147,11 +168,20 @@ class _Chain:
             for s in self.steps)
 
     def embed(self, amps: np.ndarray) -> np.ndarray:
-        """Lay logical amplitudes on the input wires, every other wire at |0>."""
-        vec = np.zeros((2,) * len(self.wires), dtype=complex)
-        index = tuple(slice(None) if w in self.input_wires else 0 for w in range(vec.ndim))
-        vec[index] = np.reshape(amps, (2,) * len(self.input_wires))
-        return vec.reshape(-1)
+        """Lay a ``(2**len(input_wires), k)`` block of logical inputs on the input
+        wires, every other wire at |0>, giving a block of canonical registers."""
+        n, k = len(self.wires), amps.shape[1]
+        block = np.zeros((2,) * n + (k,), dtype=complex)
+        index = tuple(slice(None) if w in self.input_wires else 0 for w in range(n))
+        block[index] = np.reshape(amps, (2,) * len(self.input_wires) + (k,))
+        return block.reshape(-1, k)
+
+    def replay(self, read: dict, amps: np.ndarray):
+        """Every branch of the chain on its canonical register for a block of
+        logical inputs: ``_run_chain``'s (branches, fault)."""
+        steps = self.bind(read, {w: w for w in self.wires})
+        return _run_chain(self.embed(amps), len(self.wires), steps, "enumerate", None,
+                          (self.consumed, self.eigvec_step))
 
 
 def _resolve(gate, read: dict) -> np.ndarray:
@@ -170,40 +200,32 @@ _IDENTITY_VARIANTS = ("h", "zz", "xx")
 _IDENTITY = "identity transfer variant {!r} moves the state unchanged"
 _CHAINS = {
     "transfer": _Chain((_m(OBS_X, 1), _m(_XZ, 0, 1), _m(OBS_X_PRIME, 0)), "hadamard",
-                       "state_transfer_sigma_h",
                        "transfer realizes byproduct times basis switch on every branch"),
-    "transfer_swapped": _Chain(
-        (_m(OBS_X_PRIME, 1), _m(_ZX, 0, 1), _m(OBS_X, 0)), "hadamard", "state_transfer_sigma_h",
-        "letter-swapped transfer realizes the same tactic", (("swapped", True),)),
+    "transfer_swapped": _Chain((_m(OBS_X_PRIME, 1), _m(_ZX, 0, 1), _m(OBS_X, 0)), "hadamard",
+                               "letter-swapped transfer realizes the same tactic"),
     "identity_h": _Chain((_SWITCH, _m(OBS_X, 1), _m(_XZ, 0, 1), _m(OBS_X_PRIME, 0)), I2,
-                         "transfer_identity", _IDENTITY.format("h"), (("variant", "h"),)),
+                         _IDENTITY.format("h")),
     "identity_zz": _Chain((_m(OBS_X, 1), _m(_ZZ, 0, 1), _m(OBS_X, 0)), I2,
-                          "transfer_identity", _IDENTITY.format("zz"), (("variant", "zz"),)),
+                          _IDENTITY.format("zz")),
     "identity_xx": _Chain((_m(OBS_X_PRIME, 1), _m(_XX, 0, 1), _m(OBS_X_PRIME, 0)), I2,
-                          "transfer_identity", _IDENTITY.format("xx"), (("variant", "xx"),)),
+                          _IDENTITY.format("xx")),
     "sigma_t": _Chain((_m(OBS_X, 1), _m(_ZZ, 0, 1), _m(OBS_X_MINUS_SECOND, 0)), "phase_t",
-                      "transfer_phase_t", "phase transfer realizes byproduct times the eighth turn"),
-    "sigma_t_conj": _Chain(
-        (_SWITCH, _m(OBS_X, 1), _m(_XZ, 0, 1), _m(OBS_DIAG, 0)), "phase_t", "transfer_phase_t",
-        "conjugated phase transfer realizes the same gate", (("conjugated", True),)),
+                      "phase transfer realizes byproduct times the eighth turn"),
+    "sigma_t_conj": _Chain((_SWITCH, _m(OBS_X, 1), _m(_XZ, 0, 1), _m(OBS_DIAG, 0)), "phase_t",
+                           "conjugated phase transfer realizes the same gate"),
     "cnot": _Chain(
         (_m(OBS_X, 1), _m(_ZX, 1, 2), _m(_ZX, 0, 1), _m(OBS_X_PRIME, 1)), CNOT,
-        "mbqc_cnot", "measurement chain realizes the plain controlled flip up to byproducts",
+        "measurement chain realizes the plain controlled flip up to byproducts",
         wires=(0, 2, 1), input_wires=(0, 2), consumed=1, eigvec_step=3),
 }
 
 
 def _branch_maps(chain: _Chain, read: dict) -> dict[tuple[int, ...], np.ndarray]:
     """Linear map of each branch on the logical input, one column per basis state."""
-    d, n = 2 ** len(chain.input_wires), len(chain.wires)
-    steps = chain.bind(read, {w: w for w in chain.wires})
-    maps: dict[tuple[int, ...], np.ndarray] = {}
-    for m in range(d):
-        basis = chain.embed(np.eye(d)[m])
-        for signs, _, column in _run_chain(basis, n, steps, "enumerate", None,
-                                           (chain.consumed, chain.eigvec_step)):
-            maps.setdefault(signs, np.zeros((d, d), dtype=complex))[:, m] = column
-    return maps
+    paths, fault = chain.replay(read, np.eye(2 ** len(chain.input_wires)))
+    if fault is not None:
+        raise fault[1]
+    return {signs: mat for signs, _, mat in paths}
 
 
 @functools.lru_cache(maxsize=64)
@@ -321,10 +343,15 @@ def implicit_readout(state: QState, wire: int, anc: int, mode: str = "enumerate"
     readout law and post-states exactly, and the ancilla comes off clean.
     """
     _validate_fresh(state, anc)
-    steps = (_m(OBS_X, anc), _m(_XZ, anc, wire))
-    return _branches(state, steps, mode, rng, lambda signs, prob, psi: ImplicitReadout(
-        outcomes=tuple(zip((OBS_X.label, _XZ.label), signs)),
-        derived_sign=signs[0] * signs[1], probability=prob, state=psi), (anc, 0))
+    return _branches(state, _implicit_steps(wire, anc), mode, rng,
+                     lambda signs, prob, psi: ImplicitReadout(
+                         outcomes=tuple(zip((OBS_X.label, _XZ.label), signs)),
+                         derived_sign=signs[0] * signs[1], probability=prob, state=psi),
+                     (anc, 0))
+
+
+def _implicit_steps(wire: int, anc: int) -> tuple:
+    return _m(OBS_X, anc), _m(_XZ, anc, wire)
 
 
 def implicit_readout_law(state: QState, wire: int, anc: int) -> dict[int, float]:
@@ -345,11 +372,14 @@ def measure_composite(state: QState, pair: tuple[int, int], kind: str,
     """
     if kind not in ("xx", "zz"):
         raise ValidationError(f"kind must be 'xx' or 'zz', got {kind!r}")
-    link_wire, label = (pair[1], _XX.label) if kind == "xx" else (pair[0], _ZZ.label)
-    link = GateStep(gates.hadamard, (link_wire,))
-    steps = (link, MeasureStep(_XZ, tuple(pair)), link)
-    return _branches(state, steps, mode, rng,
+    label = (_XX if kind == "xx" else _ZZ).label
+    return _branches(state, _composite_steps(pair, kind, gates), mode, rng,
                      lambda signs, prob, psi: Branch(((label, signs[0]),), prob, psi))
+
+
+def _composite_steps(pair: tuple[int, int], kind: str, gates: GateSet) -> tuple:
+    link = GateStep(gates.hadamard, (pair[1] if kind == "xx" else pair[0],))
+    return link, MeasureStep(_XZ, tuple(pair)), link
 
 
 def _transfer_laws(swapped: bool = False) -> list[tuple[PauliTag, float]]:
@@ -389,49 +419,86 @@ def _guarded(name: str, fn, tol: float, detail: str) -> CheckRecord:
     return CheckRecord(name, "pass" if deviation <= tol else "fail", deviation, tol, detail)
 
 
+def _stack(states) -> np.ndarray:
+    """The states' amplitudes as the columns of one block."""
+    return np.stack([psi.amplitudes for psi in states], axis=1)
+
+
+def _unit_columns(block: np.ndarray) -> np.ndarray:
+    """Branch states from the runner's columns, each scaled to unit norm; zero
+    columns stay zero.  Like a QState, they refuse NaN and infinity."""
+    if not np.all(np.isfinite(block)):
+        raise ValidationError("amplitudes contain NaN or infinity")
+    norm = np.linalg.norm(block, axis=0)
+    return block / np.where(norm > 0, norm, 1.0)
+
+
 def _chain_deviation(name: str, gates: GateSet, inputs) -> float:
-    """Worst branch infidelity or lost mass of a chain run through its entry point."""
+    """Worst branch infidelity or lost mass of a chain over all inputs at once.
+
+    The inputs are the columns of one block through the runner.  As in a run
+    of one input after another, the lowest input whose run faults or whose
+    branch misses the target decides the row: a fault raises, a miss is 1.0.
+    """
     chain = _CHAINS[name]
-    run = globals()[chain.entry]
-    options = dict(chain.options, **({"gates": gates} if chain.reads else {}))
+    table = _byproducts(name, gates)
+    psi = _stack(inputs)
     target = _resolve(chain.target, vars(gates))
-    worst = 0.0
-    for psi in inputs:
-        total = 0.0
-        for out in run(QState(chain.embed(psi.amplitudes)), *chain.wires, **options):
-            total += out.probability
-            expect = out.byproduct.matrix() @ target @ psi.amplitudes
-            expect = expect / np.linalg.norm(expect)
-            if not equal_up_to_global_phase(out.state.amplitudes, expect, atol=1e-8)[0]:
-                return 1.0
-            worst = max(worst, 1.0 - float(abs(np.vdot(out.state.amplitudes, expect))))
-        worst = max(worst, abs(total - 1.0))
-    return worst
+    paths, fault = chain.replay(vars(gates), psi)
+    total = np.zeros(psi.shape[1])
+    worst, missed = np.zeros_like(total), np.zeros(total.shape, dtype=bool)
+    for signs, mass, v in paths:
+        live = mass > 0
+        state = _unit_columns(v)
+        expect = table[signs][0].matrix() @ target @ psi
+        expect = expect / np.linalg.norm(expect, axis=0)
+        same, _ = equal_up_to_global_phase_by_column(state, expect, atol=1e-8)
+        missed |= live & ~same
+        overlap = np.abs(np.einsum("ij,ij->j", state.conj(), expect))
+        worst = np.maximum(worst, np.where(live, 1.0 - overlap, 0.0))
+        total += mass
+    (misses,) = np.nonzero(missed)
+    miss = int(misses[0]) if misses.size else missed.size
+    if fault is not None and fault[0] <= miss:
+        raise fault[1]
+    if misses.size:
+        return 1.0
+    return float(max(worst.max(), np.abs(total - 1.0).max()))
 
 
 def _implicit_deviation(inputs) -> float:
-    worst = 0.0
-    for psi in inputs:
-        law = implicit_readout_law(QState(np.kron(psi.amplitudes, [1.0, 0.0])), 0, 1)
-        p_plus = float(np.vdot(OBS_X_PRIME.proj_plus @ psi.amplitudes,
-                               OBS_X_PRIME.proj_plus @ psi.amplitudes).real)
-        worst = max(worst, abs(law[+1] - p_plus), abs(law[-1] - (1 - p_plus)))
-    return worst
+    """Largest gap between the implicit readout's law and the direct one."""
+    psi = _stack(inputs)
+    paths, fault = _run_chain(np.kron(psi, [[1.0], [0.0]]), 2, _implicit_steps(0, 1),
+                              "enumerate", None, (1, 0))
+    if fault is not None:
+        raise fault[1]
+    law = {+1: np.zeros(psi.shape[1]), -1: np.zeros(psi.shape[1])}
+    for signs, mass, _ in paths:
+        law[signs[0] * signs[1]] += mass
+    p_plus = _masses(OBS_X_PRIME.proj_plus @ psi)
+    return float(max(np.abs(law[+1] - p_plus).max(), np.abs(law[-1] - (1 - p_plus)).max()))
 
 
 def _composite_deviation(kind: str, direct, gates: GateSet, pair_inputs) -> float:
-    worst = 0.0
-    for pair in pair_inputs:
-        via = measure_composite(pair, (0, 1), kind, gates=gates)
-        ref = {b.outcomes[0][1]: b for b in measure(pair, direct, [0, 1])}
-        if len(via) != len(ref):
+    """Largest probability gap between the linked and the direct measurement of a
+    same-letter word; 1.0 when an input realizes other outcomes or states."""
+    psi = _stack(pair_inputs)
+    via, ref = ({signs: (mass, v) for signs, mass, v in
+                 _run_chain(psi, 2, steps, "enumerate", None)[0]}
+                for steps in (_composite_steps((0, 1), kind, gates),
+                              (MeasureStep(direct, (0, 1)),)))
+    absent = (np.zeros(psi.shape[1]), np.zeros_like(psi))
+    worst = np.zeros(psi.shape[1])
+    for signs in via.keys() | ref.keys():
+        (mass, v), (ref_mass, ref_v) = via.get(signs, absent), ref.get(signs, absent)
+        live = mass > 0
+        same, _ = equal_up_to_global_phase_by_column(_unit_columns(v), _unit_columns(ref_v),
+                                                     atol=1e-8)
+        if np.any(live != (ref_mass > 0)) or not same[live].all():
             return 1.0
-        for branch in via:
-            sign = branch.outcomes[0][1]
-            worst = max(worst, abs(branch.probability - ref[sign].probability))
-            if not equal_up_to_global_phase(branch.state, ref[sign].state, atol=1e-8)[0]:
-                worst = 1.0
-    return worst
+        worst = np.maximum(worst, np.abs(mass - ref_mass))
+    return float(worst.max())
 
 
 def _algebra_deviation(gates: GateSet) -> float:

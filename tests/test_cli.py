@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line front end via ``main``."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -7,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgame.cli import main
+from qgame.cli import _build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = ROOT / "docs"
@@ -84,6 +86,11 @@ class TestExitCodes:
                        id=f"wave-{field}-{type(value).__name__}")
           for field, value in (("q_min", "-8"), ("q_max", "8"), ("n_points", "64"),
                                ("q_min", True))],
+        # The same rule holds for every entry of an explicit sample list.
+        pytest.param(_WAVE_64, "samples", [[str(x) for x in pair] for pair in _WAVE_64["samples"]],
+                     id="wave-samples-str"),
+        pytest.param(_WAVE_64, "samples", [[False, 0.0], *_WAVE_64["samples"][1:]],
+                     id="wave-samples-bool"),
     ])
     def test_market_non_numeric_field_is_refused(self, capsys, tmp_path, base, field,
                                                  value):
@@ -269,6 +276,80 @@ def test_market_exit_code_contract_holds_for_any_payload(payload, extra):
 def test_qfa_exit_code_contract_holds_for_any_payload(payload, extra):
     code, output = _exit_code("qfa", payload, extra)
     assert code in (0, 1, 2), output
+
+
+def _parser_arguments() -> dict:
+    """Per subcommand: its positional names, and its option flags with whether
+    each takes a value, read from the parser.  ``--out`` is left out so that
+    no run writes a file."""
+    (sub,) = [a for a in _build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    table = {}
+    for name, parser in sub.choices.items():
+        actions = [a for a in parser._actions if a.dest not in ("help", "out")]
+        table[name] = ([a.dest for a in actions if not a.option_strings],
+                       [(a.option_strings[-1], a.nargs != 0) for a in actions
+                        if a.option_strings])
+    return table
+
+
+_ARGUMENTS = _parser_arguments()
+_ARGV_JUNK = ["-1", "0", "1", "7", "-0.5", "0.25", "64", "256", "10000",
+              "99999999999999999999", "1e400", "-1e308", "nan", "inf", "-inf",
+              "abc", "", "json", "csv", "a", "I", "hnh"]
+_INPUT_FILES = [GAUSSIAN, WAVE, AUTOMATON, str(ROOT / "absent.json"), ""]
+# Sizes stay small, so that no example allocates a large array.
+_SIZE_LIMITS = {"--trials": 10_000, "--grid": 256, "--n-max": 10_000}
+
+
+def _too_big(flag: str, value: str) -> bool:
+    try:
+        return abs(float(value)) > _SIZE_LIMITS.get(flag, float("inf"))
+    except ValueError:
+        return False
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_ARGUMENTS)))
+    positionals, flags = _ARGUMENTS[command]
+    argv = [command, *(draw(st.sampled_from(_INPUT_FILES)) for _ in positionals)]
+    for flag, takes_value in draw(st.lists(st.sampled_from(flags), max_size=4)):
+        argv.append(flag)
+        if takes_value:
+            value = draw(st.sampled_from(_ARGV_JUNK).filter(lambda v: not _too_big(flag, v)))
+            argv[-1] = f"{flag}={value}"
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argvs())
+def test_exit_code_contract_holds_for_any_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code in (0, 1, 2), err.getvalue()
+    assert [str(w.message) for w in caught] == []
+    assert "Warning" not in err.getvalue() and "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"], ["newcomb"], ["gamble"], ["walk"], ["market", GAUSSIAN], ["qfa", AUTOMATON],
+], ids=lambda argv: argv[0])
+def test_negative_seed_is_refused_by_name(capsys, argv):
+    code, out, err = run(capsys, [*argv, "--seed", "-1"])
+    assert code == 2
+    assert "--seed" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_corrupt_is_refused_by_name(capsys, value):
+    code, out, err = run(capsys, ["verify", f"--corrupt={value}"])
+    assert code == 2
+    assert "--corrupt" in err and "Warning" not in err
+    assert out == ""
 
 
 def test_cli_import_loads_no_scipy():

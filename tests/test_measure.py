@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgame import DensityOp, ImpossibleBranchError, Operator, QState, ValidationError
 from qgame.gates import H, OBS_X, OBS_X_PRIME, observable
 from qgame.measure import (
     apply_gate,
+    apply_matrix,
     interface_yes_no,
     measure,
+    partial_inner,
     project_outcome,
     sample_outcomes,
 )
@@ -71,6 +75,53 @@ def test_enumerated_probabilities_sum_to_one_for_many_random_states():
         total = sum(b.probability for b in measure(state, joint, [0, 1]))
         worst = max(worst, abs(total - 1.0))
     assert worst < 1e-12
+
+
+_LABELS = ("X", "X'", "X''", "G")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.lists(st.sampled_from(_LABELS), min_size=1, max_size=2),
+       st.randoms(use_true_random=False), st.integers(0, 2**32 - 1))
+def test_branch_probabilities_sum_to_one(n, labels, order, seed):
+    width = min(len(labels), n)
+    obs = observable(labels[0])
+    for label in labels[1:width]:
+        obs = obs.tensor(observable(label))
+    wires = order.sample(range(n), width)
+    state = random_state(n, np.random.default_rng(seed))
+    total = sum(b.probability for b in measure(state, obs, wires))
+    assert abs(total - 1.0) <= 1e-12
+
+
+def _block(rng, n, k):
+    return rng.standard_normal((2**n, k)) + 1j * rng.standard_normal((2**n, k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 2), st.integers(1, 6),
+       st.randoms(use_true_random=False), st.integers(0, 2**32 - 1))
+def test_block_kernel_acts_column_by_column(n, width, k, order, seed):
+    """A (2**n, k) block gives each column's 1-D result within 1e-14; through
+    apply_matrix, a one-column block gives the 1-D result bit for bit."""
+    width = min(width, n)
+    rng = np.random.default_rng(seed)
+    mat = _block(rng, width, 2**width)
+    wires = order.sample(range(n), width)
+    block = _block(rng, n, k)
+    out = apply_matrix(block, mat, wires, n)
+    assert out.shape == block.shape
+    for j in range(k):
+        single = apply_matrix(block[:, j], mat, wires, n)
+        assert np.max(np.abs(out[:, j] - single)) <= 1e-14 * max(1.0, np.max(np.abs(single)))
+        assert np.array_equal(apply_matrix(block[:, [j]], mat, wires, n)[:, 0], single)
+    local = _block(rng, 1, 1)[:, 0]
+    wire = order.randrange(n)
+    inner = partial_inner(block, local, wire, n)
+    assert inner.shape == (2 ** (n - 1), k)
+    for j in range(k):
+        single = partial_inner(block[:, j], local, wire, n)
+        assert np.max(np.abs(inner[:, j] - single)) <= 1e-14 * max(1.0, np.max(np.abs(single)))
 
 
 def test_repeated_measurement_repeats_the_outcome():

@@ -1,9 +1,13 @@
 """Measurement-driven gate synthesis: branch maps, byproducts, equivalences."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qgame import QState, ValidationError, equal_up_to_global_phase, tensor
+from qgame import ATOL_CIRCUIT, QState, ValidationError, equal_up_to_global_phase, tensor, transfer
 from qgame.gates import CNOT, GateSet, H, T, observable
 from qgame.measure import measure
 from qgame.pauli import PauliTag, match_pauli_word, tag_from_scalar
@@ -376,3 +380,173 @@ class TestByproductCache:
         out = state_transfer_sigma_h(_with_fresh_ancilla(QState.zero(1)), 0, 1)[0]
         with pytest.raises(ValueError):
             out.branch_map[0, 0] = 0.0
+
+
+# Public entry point and keyword arguments that run each declared chain.
+_ENTRY = {
+    "transfer": (state_transfer_sigma_h, {}),
+    "transfer_swapped": (state_transfer_sigma_h, {"swapped": True}),
+    "identity_h": (transfer_identity, {"variant": "h"}),
+    "identity_zz": (transfer_identity, {"variant": "zz"}),
+    "identity_xx": (transfer_identity, {"variant": "xx"}),
+    "sigma_t": (transfer_phase_t, {}),
+    "sigma_t_conj": (transfer_phase_t, {"conjugated": True}),
+    "cnot": (mbqc_cnot, {}),
+}
+_PHASE_OFF = GateSet(hadamard=H * np.exp(0.3j))
+_TILTED = GateSet(hadamard=H @ np.diag([1.0, np.exp(1e-3j)]))
+
+
+def _run_entry(name, register, gates):
+    entry, options = _ENTRY[name]
+    if transfer._CHAINS[name].reads:
+        options = dict(options, gates=gates)
+    return entry(register, *transfer._CHAINS[name].wires, **options)
+
+
+def _inputs(chain, rng, k):
+    """k random logical inputs followed by every basis state, on which some
+    branches cannot occur."""
+    width = len(chain.input_wires)
+    basis = [QState.basis(width, m) for m in range(2**width)]
+    return [random_state(width, rng) for _ in range(k)] + basis
+
+
+def _reference_chain_deviation(name, gates, inputs):
+    """The ledger row as one public entry-point run per input."""
+    chain = transfer._CHAINS[name]
+    target = transfer._resolve(chain.target, vars(gates))
+    worst = 0.0
+    for psi in inputs:
+        total = 0.0
+        for out in _run_entry(name, QState(chain.embed(psi.amplitudes[:, None])[:, 0]), gates):
+            total += out.probability
+            expect = out.byproduct.matrix() @ target @ psi.amplitudes
+            expect = expect / np.linalg.norm(expect)
+            if not equal_up_to_global_phase(out.state.amplitudes, expect, atol=1e-8)[0]:
+                return 1.0
+            worst = max(worst, 1.0 - float(abs(np.vdot(out.state.amplitudes, expect))))
+        worst = max(worst, abs(total - 1.0))
+    return worst
+
+
+class TestBatchedReplay:
+    """The runner takes a block of registers as columns; the ledger replays all
+    its inputs in one call per chain."""
+
+    def test_every_chain_has_a_public_entry_point(self):
+        assert set(_ENTRY) == set(transfer._CHAINS)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(_ENTRY)), st.integers(0, 2**32 - 1))
+    def test_chain_branch_probabilities_sum_to_one(self, name, seed):
+        chain = transfer._CHAINS[name]
+        (psi,) = _inputs(chain, np.random.default_rng(seed), 1)[:1]
+        register = QState(chain.embed(psi.amplitudes[:, None])[:, 0])
+        total = sum(out.probability for out in _run_entry(name, register, GateSet()))
+        assert abs(total - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(_ENTRY))
+    def test_block_replay_matches_single_replays(self, name):
+        chain = transfer._CHAINS[name]
+        block = transfer._stack(_inputs(chain, np.random.default_rng(11), 6))
+        paths, fault = chain.replay(vars(GateSet()), block)
+        assert fault is None
+        together = {signs: (mass, v) for signs, mass, v in paths}
+        for j in range(block.shape[1]):
+            single, fault = chain.replay(vars(GateSet()), block[:, [j]])
+            assert fault is None
+            live = {s for s, (mass, _) in together.items() if mass[j] > 0}
+            assert live == {s for s, _, _ in single}
+            for signs, mass, v in single:
+                assert np.max(np.abs(together[signs][1][:, j] - v[:, 0])) <= 1e-14
+                assert abs(together[signs][0][j] - mass[0]) <= 1e-14
+
+    def test_a_column_pruned_in_a_kept_branch_is_zero_there(self):
+        block = np.array([[1, 0, 1], [0, 1, 1]], dtype=complex) / [1, 1, np.sqrt(2)]
+        paths, _ = transfer._run_chain(block, 1, (transfer._m(observable("X'"), 0),),
+                                       "enumerate", None)
+        assert [signs for signs, _, _ in paths] == [(1,), (-1,)]
+        (_, plus, v_plus), (_, minus, v_minus) = paths
+        assert plus.tolist() == [1.0, 0.0, pytest.approx(0.5)]
+        assert minus.tolist() == [0.0, 1.0, pytest.approx(0.5)]
+        assert not v_plus[:, 1].any() and not v_minus[:, 0].any()
+        paths, _ = transfer._run_chain(block[:, :1], 1, (transfer._m(observable("X'"), 0),),
+                                       "enumerate", None)
+        assert [signs for signs, _, _ in paths] == [(1,)]
+
+    def test_lowest_entangled_column_is_the_fault(self):
+        # Readout on wire 1, then a controlled flip from wire 0: discarding
+        # wire 1 is clean only where wire 0 was |0>.
+        zero, plus, one = np.eye(2)[0], np.array([1, 1]) / np.sqrt(2), np.eye(2)[1]
+        block = np.stack([np.kron(c, zero) for c in (zero, plus, zero, one)], axis=1)
+        steps = (transfer._m(observable("X'"), 1), transfer.GateStep(CNOT, (0, 1)))
+        _, fault = transfer._run_chain(block.astype(complex), 2, steps, "enumerate", None, (1, 0))
+        _, single = transfer._run_chain(block[:, [1]].astype(complex), 2, steps, "enumerate",
+                                        None, (1, 0))
+        assert fault[0] == 1 and str(fault[1]) == str(single[1])
+        with pytest.raises(ValidationError, match="still entangled"):
+            transfer._branches(QState(block[:, 1]), steps, "enumerate", None,
+                               lambda *branch: branch, (1, 0))
+
+    @pytest.mark.parametrize("gates", [GateSet(), _PHASE_OFF, _TILTED],
+                             ids=["clean", "phase", "tilted"])
+    @pytest.mark.parametrize("name", sorted(_ENTRY))
+    def test_batched_ledger_row_equals_the_per_input_maximum(self, name, gates):
+        inputs = _inputs(transfer._CHAINS[name], np.random.default_rng(5), 12)
+        try:
+            expected = _reference_chain_deviation(name, gates, inputs)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError, match=re.escape(str(exc))):
+                transfer._chain_deviation(name, gates, inputs)
+            return
+        got = transfer._chain_deviation(name, gates, inputs)
+        assert abs(got - expected) <= 1e-14
+        assert (got <= ATOL_CIRCUIT) == (expected <= ATOL_CIRCUIT)
+
+    def test_batched_readout_row_equals_per_input_runs(self):
+        rng = np.random.default_rng(9)
+        inputs = [random_state(1, rng) for _ in range(10)] + [QState.basis(1, 1)]
+        worst = 0.0
+        for psi in inputs:
+            law = implicit_readout_law(_with_fresh_ancilla(psi), 0, 1)
+            direct = {b.outcomes[0][1]: b.probability
+                      for b in measure(psi, observable("X'"), [0])}
+            worst = max(worst, *(abs(law[s] - direct.get(s, 0.0)) for s in (+1, -1)))
+        assert abs(transfer._implicit_deviation(inputs) - worst) <= 1e-14
+
+    @pytest.mark.parametrize("gates", [GateSet(), _PHASE_OFF, _TILTED],
+                             ids=["clean", "phase", "tilted"])
+    @pytest.mark.parametrize("kind", ["xx", "zz"])
+    def test_batched_composite_row_equals_per_input_runs(self, kind, gates):
+        rng = np.random.default_rng(9)
+        pairs = [random_state(2, rng) for _ in range(6)] + [QState.basis(2, 2)]
+        direct_obs = transfer._XX if kind == "xx" else transfer._ZZ
+        worst = 0.0
+        for pair in pairs:
+            via = measure_composite(pair, (0, 1), kind, gates=gates)
+            ref = {b.outcomes[0][1]: b for b in measure(pair, direct_obs, [0, 1])}
+            if len(via) != len(ref):
+                worst = 1.0
+                break
+            for branch in via:
+                other = ref[branch.outcomes[0][1]]
+                worst = max(worst, abs(branch.probability - other.probability))
+                if not equal_up_to_global_phase(branch.state, other.state, atol=1e-8)[0]:
+                    worst = 1.0
+        got = transfer._composite_deviation(kind, direct_obs, gates, pairs)
+        assert abs(got - worst) <= 1e-14
+        assert (got == 1.0) == (gates is _TILTED)
+
+    def test_warm_ledger_makes_few_kernel_calls(self, monkeypatch):
+        verify_universality()
+        calls = []
+        original = transfer.apply_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(transfer, "apply_matrix", counting)
+        verify_universality()
+        assert len(calls) <= 300
