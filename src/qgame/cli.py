@@ -14,6 +14,7 @@ usage errors, unreadable input files and an unwritable ``--out`` path.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -50,7 +51,7 @@ from .market import (
 )
 from .report import CheckRecord, Report, Table
 from .transfer import transfer_byproduct_distribution, verify_universality
-from .walk import survival_empirical, survival_model, walk_steps_batch
+from .walk import DEFAULT_STEP_CAP, survival_empirical, survival_model, walk_steps_batch
 
 _BREAKER_CHOICES = ("absent", "I", "NOT", "qutrojan")
 
@@ -147,8 +148,9 @@ def cmd_gamble(args) -> Report:
 def cmd_walk(args) -> Report:
     if args.trials < 1:
         raise ValidationError(f"trials must be at least 1, got {args.trials}")
-    if args.n_max < 1:
-        raise ValidationError(f"n-max must be at least 1, got {args.n_max}")
+    if not 1 <= args.n_max <= DEFAULT_STEP_CAP:
+        raise ValidationError(f"--n-max must be from 1 to {DEFAULT_STEP_CAP}, the walk's "
+                              f"step cap, got {args.n_max}")
     steps = walk_steps_batch("X", seeded_rng(args.seed, 0), args.trials)
     model = survival_model(args.n_max)
     empirical = survival_empirical(steps, args.n_max)
@@ -363,6 +365,7 @@ def _finite(text: str) -> float:
     return value
 
 
+@functools.lru_cache(maxsize=None)  # every default is a constant, so one parser serves all calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qgame",
@@ -389,7 +392,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--corrupt", type=_finite, default=0.0, metavar="EPS",
                           help="rotate the switch gate's phase by EPS radians "
                                "(negative control)")
-    p_verify.set_defaults(run=cmd_verify)
 
     p_newcomb = sub.add_parser("newcomb", parents=[common],
                                help="exact readout law of the prediction circuit")
@@ -398,7 +400,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_newcomb.add_argument("--breaker", choices=_BREAKER_CHOICES,
                            default="absent",
                            help="lower-wire insert (default absent)")
-    p_newcomb.set_defaults(run=cmd_newcomb)
 
     p_gamble = sub.add_parser("gamble", parents=[common],
                               help="verified gambling payoffs, exact and sampled")
@@ -410,20 +411,17 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="payout for a flagged audit (default 1)")
     p_gamble.add_argument("--sweep", action="store_true",
                           help="add a 101-point preparation-angle sweep table")
-    p_gamble.set_defaults(run=cmd_gamble)
 
     p_walk = sub.add_parser("walk", parents=[common],
                             help="correction walk survival curve vs the model")
     p_walk.add_argument("--n-max", type=int, default=20, dest="n_max",
                         help="largest survival horizon reported (default 20)")
-    p_walk.set_defaults(run=cmd_walk)
 
     p_market = sub.add_parser("market", parents=[common],
                               help="demand/supply table and phase-space grid")
     p_market.add_argument("strategy", help="strategy description JSON file")
     p_market.add_argument("--grid", type=int, metavar="N",
                           help="override the grid point count")
-    p_market.set_defaults(run=cmd_market)
 
     p_qfa = sub.add_parser("qfa", parents=[common],
                            help="acceptance probabilities of a finite automaton")
@@ -431,7 +429,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_qfa.add_argument("--word", action="append", metavar="SYMBOLS",
                        help="input word, one symbol per character "
                             "(repeatable; default: the empty word)")
-    p_qfa.set_defaults(run=cmd_qfa)
     return parser
 
 
@@ -443,7 +440,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     started = time.perf_counter()
     try:
-        report = args.run(args)
+        # Looked up by name on every call, not bound into the shared parser,
+        # so a wrapper installed on a cmd_* function later still runs.
+        report = globals()[f"cmd_{args.command}"](args)
     except QGameError as exc:
         print(f"qgame {args.command}: {exc}", file=sys.stderr)
         return 2

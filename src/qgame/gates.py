@@ -43,7 +43,7 @@ CNOT = np.block([[I2, np.zeros((2, 2))], [np.zeros((2, 2)), SIGMA_X]]).astype(co
 class Observable:
     """Binary observable: a Hermitian involution with outcomes +1 and -1."""
 
-    __slots__ = ("matrix", "label", "proj_plus", "proj_minus")
+    __slots__ = ("matrix", "label", "proj_plus", "proj_minus", "_eigenvectors")
 
     def __init__(self, matrix, label: str, *, atol: float = ATOL_ALGEBRA):
         mat = np.asarray(matrix, dtype=complex)
@@ -58,6 +58,7 @@ class Observable:
         self.label = label
         self.proj_plus = (eye + mat) / 2
         self.proj_minus = (eye - mat) / 2
+        self._eigenvectors = {}
 
     @property
     def dim(self) -> int:
@@ -81,8 +82,15 @@ class Observable:
         """Unit eigenvector for ``sign``; only defined for one-qubit observables.
 
         The phase is fixed by making the first nonzero component real and
-        positive, so repeated calls agree exactly.
+        positive.  It is computed once per sign and shared, so it is
+        read-only.
         """
+        vec = self._eigenvectors.get(sign)
+        if vec is None:
+            vec = self._eigenvectors[sign] = self._unit_eigenvector(sign)
+        return vec
+
+    def _unit_eigenvector(self, sign: int) -> np.ndarray:
         if self.dim != 2:
             raise ValidationError("eigenvector lookup is only supported for one-qubit observables")
         proj = self.projector(sign)
@@ -92,7 +100,9 @@ class Observable:
             raise ValidationError(f"observable {self.label!r} has no {sign:+d} eigenspace")
         col = col / norm
         anchor = col[np.argmax(np.abs(col) > 1e-12)]
-        return col * (anchor.conjugate() / abs(anchor))
+        vec = col * (anchor.conjugate() / abs(anchor))
+        vec.setflags(write=False)
+        return vec
 
     def tensor(self, other: "Observable") -> "Observable":
         return Observable(np.kron(self.matrix, other.matrix), f"{self.label}*{other.label}")

@@ -4,18 +4,21 @@ Every construction here is a short chain of binary measurements on a source
 wire and a fresh ancilla, declared once as data in ``_CHAINS``: its steps on
 a canonical register, the wires the input enters on, the wire measured away
 and the gate it implements.  One runner, ``_run_chain``, walks any step list
-branch by branch, +1 outcomes before -1 at every fork; branches share no
-mutable state, so enumeration is reproducible.  The public entry points
+over every branch at once, +1 outcomes before -1 at every fork, so
+enumeration is reproducible.  The public entry points
 only check the ancilla, pick a chain and hand it to the runner.
 
 Each branch acts on the logical input as a fixed linear map that factors as
 (positive scalar) x (power of i) x (Pauli word) x (target gate).  The Pauli
 word is the reported byproduct; a random walk over Pauli words (see
 :mod:`qgame.walk`) undoes it.  A chain's byproduct table depends only on the
-chain and the gates it reads, so it is computed once per gate set and cached.
-Because each branch is linear, the runner takes a block of registers as the
-columns of one array: the public entry points pass one column, while the
-byproduct tables and the verify ledger pass every input at once.
+chain and the gates it reads, so it is computed once per gate set and cached,
+each branch's expected map (Pauli word) x (target gate) with it.  Because each
+branch is linear, the runner takes a block of registers as the columns of one
+array: the public entry points pass one column, while the byproduct tables
+and the verify ledger pass every input at once.  All live branches ride in
+that one array as column groups, so a chain costs one kernel call per gate
+and one per outcome sign at each measurement, however many branches it has.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,73 +74,93 @@ def _masses(block: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", block.conj(), block).real
 
 
+@dataclass(frozen=True)
+class _Stack:
+    """Every branch of a runner call as one column group of a shared array.
+
+    ``amps[:, p, c]`` is column c of the register block in branch ``signs[p]``,
+    unnormalized, and ``mass[p, c]`` its probability.  Iterating yields the
+    branches one at a time as (signs, masses, amplitudes)."""
+
+    signs: tuple[tuple[int, ...], ...]
+    mass: np.ndarray   # (P, k)
+    amps: np.ndarray   # (2**m, P, k)
+
+    def __iter__(self):
+        return zip(self.signs, self.mass, self.amps.transpose(1, 0, 2))
+
+
 def _run_chain(block: np.ndarray, n: int, steps, mode: str, rng, consumed=None):
     """Walk a step chain over a block of registers, branching at measurements.
 
-    ``block`` has shape ``(2**n, k)``: k registers as columns, which every
-    step acts on in one kernel call.  Returns ``(branches, fault)``.  Each
-    branch is (signs, masses, unnormalized amplitudes), with a length-k mass
-    array, each column's probability.  A branch is dropped when every column's
-    mass falls below PROB_EPS at a measurement; a column below it in a kept
-    branch is zeroed there, mass 0, as if that outcome could not occur for it.
-    ``consumed = (wire, j)`` drops ``wire``, which the j-th measurement left in
-    an eigenstate.  ``fault`` is None, or (column, ValidationError) for the
-    lowest column whose register is still entangled with that wire, from its
-    first such branch.  Sample mode follows one path drawn from column 0's
-    masses, so it takes a single column.
+    ``block`` has shape ``(2**n, k)``: k registers as columns.  Every live
+    branch rides along as a group of k columns of one array, so each gate is
+    one kernel call and each measurement one call per outcome sign, however
+    many branches there are; the children of a branch follow it in +1, -1
+    order.  Returns ``(stack, fault)`` with ``stack`` a :class:`_Stack`.  A
+    branch is dropped when every column's mass falls below PROB_EPS at a
+    measurement; a column below it in a kept branch is zeroed there, mass 0,
+    as if that outcome could not occur for it.  ``consumed = (wire, j)`` drops
+    ``wire``, which the j-th measurement left in an eigenstate.  ``fault`` is
+    None, or (column, ValidationError) for the lowest column whose register
+    is still entangled with that wire, from its first such branch.  Sample
+    mode follows one path drawn from column 0's masses, so it takes a single
+    column.
     """
     if mode not in ("enumerate", "sample"):
         raise ValidationError(f"mode must be 'enumerate' or 'sample', got {mode!r}")
     if mode == "sample" and rng is None:
         raise ValidationError("sample mode needs an rng")
-    paths = [((), block)]
+    dim, k = block.shape
+    signs, amps = [()], block
     for step in steps:
         if isinstance(step, GateStep):
-            paths = [(signs, apply_matrix(v, step.gate, step.wires, n)) for signs, v in paths]
+            amps = apply_matrix(amps, step.gate, step.wires, n)
             continue
-        forked = []
-        for signs, v in paths:
-            children = []
-            for sign in (+1, -1):
-                w = apply_matrix(v, step.obs.projector(sign), step.wires, n)
-                mass = _masses(w)
-                dead = mass < PROB_EPS
-                if dead.all():
-                    continue
-                w[:, dead] = 0.0
-                children.append((signs + (sign,), w, mass))
-            if mode == "sample":
-                masses = np.array([c[2][0] for c in children])
-                pick = int(rng.choice(len(children), p=masses / masses.sum()))
-                children = [children[pick]]
-            forked.extend((s, w) for s, w, _ in children)
-        paths = forked
-    measures = [s for s in steps if isinstance(s, MeasureStep)]
-    out, fault = [], None
-    for signs, v in paths:
-        mass = _masses(v)
-        if consumed is not None:
-            wire, j = consumed
-            v = partial_inner(v, measures[j].obs.eigenvector(signs[j]), wire, n)
-            kept = _masses(v)
-            (bad,) = np.nonzero(np.abs(kept - mass) > _DISCARD_MASS_ATOL * np.maximum(mass, 1e-30))
-            if bad.size and (fault is None or bad[0] < fault[0]):
-                c = int(bad[0])
-                fault = (c, ValidationError(
-                    f"wire {wire} is still entangled with the register "
-                    f"(mass {mass[c]:.3e} -> {kept[c]:.3e}); cannot discard it"))
-        out.append((signs, mass, v))
-    return out, fault
+        # (dim, P, 2, k): the +1 and -1 child of each of the P branches side by side.
+        forks = np.stack([apply_matrix(amps, step.obs.projector(sign), step.wires, n)
+                          .reshape(dim, len(signs), k) for sign in (+1, -1)], axis=2)
+        forks = forks.reshape(dim, 2 * len(signs), k)
+        masses = _masses(forks.reshape(dim, -1)).reshape(-1, k)
+        dead = masses < PROB_EPS
+        (keep,) = np.nonzero(~dead.all(axis=1))
+        if mode == "sample":
+            drawn = masses[keep, 0]
+            keep = keep[[int(rng.choice(keep.size, p=drawn / drawn.sum()))]]
+        forks = forks[:, keep]
+        forks[:, dead[keep]] = 0.0
+        signs = [signs[i // 2] + ((+1, -1)[i % 2],) for i in keep.tolist()]
+        amps = forks.reshape(dim, -1)
+    mass, fault = _masses(amps), None
+    if consumed is not None:
+        wire, j = consumed
+        obs = [s for s in steps if isinstance(s, MeasureStep)][j].obs
+        at = np.repeat([s[j] for s in signs], k)
+        kept_amps = np.empty((dim // 2, amps.shape[1]), dtype=complex)
+        for sign in (+1, -1):
+            cols = at == sign
+            if cols.any():
+                kept_amps[:, cols] = partial_inner(amps[:, cols], obs.eigenvector(sign), wire, n)
+        amps = kept_amps
+        kept = _masses(amps)
+        (bad,) = np.nonzero(np.abs(kept - mass) > _DISCARD_MASS_ATOL * np.maximum(mass, 1e-30))
+        if bad.size:
+            b = bad[np.argmin(bad % k)]
+            fault = (int(b % k), ValidationError(
+                f"wire {wire} is still entangled with the register "
+                f"(mass {mass[b]:.3e} -> {kept[b]:.3e}); cannot discard it"))
+    shape = (len(signs), k)
+    return _Stack(tuple(signs), mass.reshape(shape), amps.reshape(amps.shape[:1] + shape)), fault
 
 
 def _branches(state: QState, steps, mode, rng, package, consumed=None):
     """Each branch on the caller's register as ``package(signs, prob, state)``."""
-    paths, fault = _run_chain(state.amplitudes[:, None], state.n_qubits, steps, mode, rng,
+    stack, fault = _run_chain(state.amplitudes[:, None], state.n_qubits, steps, mode, rng,
                               consumed)
     if fault is not None:
         raise fault[1]
     out = [package(signs, float(mass[0]), QState(v[:, 0] / np.sqrt(mass[0])))
-           for signs, mass, v in paths]
+           for signs, mass, v in stack]
     return out[0] if mode == "sample" else out
 
 
@@ -222,22 +246,40 @@ _CHAINS = {
 
 def _branch_maps(chain: _Chain, read: dict) -> dict[tuple[int, ...], np.ndarray]:
     """Linear map of each branch on the logical input, one column per basis state."""
-    paths, fault = chain.replay(read, np.eye(2 ** len(chain.input_wires)))
+    stack, fault = chain.replay(read, np.eye(2 ** len(chain.input_wires)))
     if fault is not None:
         raise fault[1]
-    return {signs: mat for signs, _, mat in paths}
+    return {signs: mat for signs, _, mat in stack}
+
+
+class _Byproduct(NamedTuple):
+    """One branch of a chain: branch_map == scalar * tag . target, and the
+    map the branch is expected to realize, ``expected = tag . target``."""
+
+    tag: PauliTag
+    branch_map: np.ndarray
+    scalar: complex
+    expected: np.ndarray
+
+
+def _inverse(mat: np.ndarray, what: str) -> np.ndarray:
+    try:
+        return np.linalg.inv(mat)
+    except np.linalg.LinAlgError:
+        raise ValidationError(f"{what} is singular") from None
 
 
 @functools.lru_cache(maxsize=64)
 def _byproduct_table(name: str, gate_bytes: tuple[bytes, ...]) -> dict:
-    """(tag, branch map, scalar) by signs, with branch_map @ target^-1 == scalar * tag.
+    """A :class:`_Byproduct` by signs, in branch order.
 
     Keyed by the bytes of every gate the chain reads, so it never serves
     another gate set; the maps are shared, so they are read-only."""
     chain = _CHAINS[name]
     read = {f: np.frombuffer(raw, dtype=complex) for f, raw in zip(chain.reads, gate_bytes)}
     read = {f: flat.reshape(math.isqrt(flat.size), -1) for f, flat in read.items()}
-    target_inv = np.linalg.inv(_resolve(chain.target, read))
+    target = _resolve(chain.target, read)
+    target_inv = _inverse(target, f"the target of chain {name!r}")
     out = {}
     for signs, mat in sorted(_branch_maps(chain, read).items(), key=lambda kv: [-s for s in kv[0]]):
         matched = match_pauli_word(mat @ target_inv, atol=1e-9)
@@ -245,14 +287,21 @@ def _byproduct_table(name: str, gate_bytes: tuple[bytes, ...]) -> dict:
             raise ValidationError(
                 f"branch {signs} does not reduce to a Pauli correction of the target")
         letters, scalar = matched
-        mat.setflags(write=False)
-        out[signs] = (PauliTag(letters), mat, scalar)
+        tag = PauliTag(letters)
+        expected = tag.matrix() @ target
+        for shared in (mat, expected):
+            shared.setflags(write=False)
+        out[signs] = _Byproduct(tag, mat, scalar, expected)
     return out
 
 
+def _gate_key(name: str, gates: GateSet) -> tuple[bytes, ...]:
+    return tuple(np.asarray(getattr(gates, f), dtype=complex).tobytes()
+                 for f in _CHAINS[name].reads)
+
+
 def _byproducts(name: str, gates: GateSet) -> dict:
-    return _byproduct_table(name, tuple(np.asarray(getattr(gates, f), dtype=complex).tobytes()
-                                        for f in _CHAINS[name].reads))
+    return _byproduct_table(name, _gate_key(name, gates))
 
 
 def _validate_fresh(state: QState, wire: int) -> None:
@@ -269,7 +318,7 @@ def _run_public(state: QState, caller_wires: tuple, name: str, gates: GateSet, m
     steps = chain.bind(vars(gates), where)
     labels = [s.obs.label for s in steps if isinstance(s, MeasureStep)]
     return _branches(state, steps, mode, rng, lambda signs, prob, psi: TransferOutcome(
-        tuple(zip(labels, signs)), prob, psi, *table[signs][:2]),
+        tuple(zip(labels, signs)), prob, psi, table[signs].tag, table[signs].branch_map),
         (where[chain.consumed], chain.eigvec_step))
 
 
@@ -386,7 +435,8 @@ def _transfer_laws(swapped: bool = False) -> list[tuple[PauliTag, float]]:
     """(byproduct, probability) per default-gate transfer branch; each map is a
     scaled unitary, so the probability does not depend on the input."""
     table = _byproducts("transfer_swapped" if swapped else "transfer", DEFAULT_GATES)
-    return [(tag, float(np.vdot(mat[:, 0], mat[:, 0]).real)) for tag, mat, _ in table.values()]
+    return [(row.tag, float(np.vdot(row.branch_map[:, 0], row.branch_map[:, 0]).real))
+            for row in table.values()]
 
 
 def transfer_byproduct_distribution(*, swapped: bool = False) -> dict[str, float]:
@@ -436,29 +486,30 @@ def _unit_columns(block: np.ndarray) -> np.ndarray:
 def _chain_deviation(name: str, gates: GateSet, inputs) -> float:
     """Worst branch infidelity or lost mass of a chain over all inputs at once.
 
-    The inputs are the columns of one block through the runner.  As in a run
-    of one input after another, the lowest input whose run faults or whose
-    branch misses the target decides the row: a fault raises, a miss is 1.0.
+    The inputs are the columns of one block through the runner, and every
+    branch is compared with its cached expected map in one pass over the
+    runner's stacked columns.  As in a run of one input after another, the
+    lowest input whose run faults or whose branch misses the target decides
+    the row: a fault raises, a miss is 1.0.
     """
     chain = _CHAINS[name]
     table = _byproducts(name, gates)
     psi = _stack(inputs)
-    target = _resolve(chain.target, vars(gates))
-    paths, fault = chain.replay(vars(gates), psi)
-    total = np.zeros(psi.shape[1])
-    worst, missed = np.zeros_like(total), np.zeros(total.shape, dtype=bool)
-    for signs, mass, v in paths:
-        live = mass > 0
-        state = _unit_columns(v)
-        expect = table[signs][0].matrix() @ target @ psi
-        expect = expect / np.linalg.norm(expect, axis=0)
-        same, _ = equal_up_to_global_phase_by_column(state, expect, atol=1e-8)
-        missed |= live & ~same
-        overlap = np.abs(np.einsum("ij,ij->j", state.conj(), expect))
-        worst = np.maximum(worst, np.where(live, 1.0 - overlap, 0.0))
-        total += mass
+    stack, fault = chain.replay(vars(gates), psi)
+    dim, branches, k = stack.amps.shape
+    live = stack.mass.reshape(-1) > 0
+    state = _unit_columns(stack.amps.reshape(dim, -1))
+    maps = np.reshape([table[signs].expected for signs in stack.signs], (branches, dim, dim))
+    expect = maps @ psi
+    expect = expect / np.linalg.norm(expect, axis=1, keepdims=True)
+    expect = expect.transpose(1, 0, 2).reshape(dim, -1)
+    same, _ = equal_up_to_global_phase_by_column(state, expect, atol=1e-8)
+    missed = (live & ~same).reshape(branches, k).any(axis=0)
+    overlap = np.abs(np.einsum("ij,ij->j", state.conj(), expect))
+    worst = np.where(live, 1.0 - overlap, 0.0).reshape(branches, k).max(axis=0, initial=0.0)
+    total = stack.mass.sum(axis=0)
     (misses,) = np.nonzero(missed)
-    miss = int(misses[0]) if misses.size else missed.size
+    miss = int(misses[0]) if misses.size else k
     if fault is not None and fault[0] <= miss:
         raise fault[1]
     if misses.size:
@@ -502,9 +553,16 @@ def _composite_deviation(kind: str, direct, gates: GateSet, pair_inputs) -> floa
 
 
 def _algebra_deviation(gates: GateSet) -> float:
-    """Compose every pair of transfer branch maps and compare with the tag algebra."""
-    tagged = [(*tag_from_scalar(tag.letters, scalar), mat)
-              for _, (tag, mat, scalar) in sorted(_byproducts("transfer", gates).items())]
+    return _algebra_row(_gate_key("transfer", gates))
+
+
+@functools.lru_cache(maxsize=64)
+def _algebra_row(gate_bytes: tuple[bytes, ...]) -> float:
+    """Compose every pair of transfer branch maps and compare with the tag
+    algebra.  It reads only the transfer table, so it is cached beside it
+    under the same key; an error is raised, never cached."""
+    tagged = [(*tag_from_scalar(row.tag.letters, row.scalar), row.branch_map)
+              for _, row in sorted(_byproduct_table("transfer", gate_bytes).items())]
     worst = 0.0
     for (tag1, mag1, map1), (tag2, mag2, map2) in itertools.product(tagged, repeat=2):
         expected = tag2.compose(tag1.conjugated_by_h()).shifted(2)
@@ -540,7 +598,8 @@ def verify_universality(gates: GateSet = DEFAULT_GATES, *, n_random: int = 25,
          "flip and switch have unit determinant"),
         ("xprime", lambda: _gap(h @ SIGMA_X @ h.conj().T, SIGMA_Z), ATOL_ALGEBRA,
          "switch conjugation carries the flip observable to the readout"),
-        ("xsecond", lambda: max(_gap(np.linalg.inv(t) @ SIGMA_X @ t, OBS_X_MINUS_SECOND.matrix),
+        ("xsecond", lambda: max(_gap(_inverse(t, "the phase gate") @ SIGMA_X @ t,
+                                     OBS_X_MINUS_SECOND.matrix),
                                 _gap(OBS_X_SECOND.matrix, SIGMA_Y)), ATOL_ALGEBRA,
          "phase-gate conjugation tilts the flip into (X - X'')/sqrt2, pinning X'' to sigma-y"),
         ("gconj", lambda: _gap(h @ OBS_X_MINUS_SECOND.matrix @ h.conj().T, OBS_DIAG.matrix),

@@ -298,8 +298,9 @@ _ARGV_JUNK = ["-1", "0", "1", "7", "-0.5", "0.25", "64", "256", "10000",
               "99999999999999999999", "1e400", "-1e308", "nan", "inf", "-inf",
               "abc", "", "json", "csv", "a", "I", "hnh"]
 _INPUT_FILES = [GAUSSIAN, WAVE, AUTOMATON, str(ROOT / "absent.json"), ""]
-# Sizes stay small, so that no example allocates a large array.
-_SIZE_LIMITS = {"--trials": 10_000, "--grid": 256, "--n-max": 10_000}
+# Sizes stay small, so that no example allocates a large array.  --n-max is
+# drawn whole: past the walk's step cap it is refused before any work.
+_SIZE_LIMITS = {"--trials": 10_000, "--grid": 256}
 
 
 def _too_big(flag: str, value: str) -> bool:
@@ -465,6 +466,13 @@ class TestWalkCommand:
         assert rows[0][1] == 1.0
         assert rows[1][1] == 0.75
 
+    @pytest.mark.parametrize("n_max", ["10001", "99999999999999999999"])
+    def test_horizon_past_the_step_cap_is_refused_by_name(self, capsys, n_max):
+        code, out, err = run(capsys, ["walk", "--trials", "10", "--n-max", n_max])
+        assert code == 2
+        assert "--n-max" in err and "Traceback" not in err
+        assert out == ""
+
 
 class TestMarketCommand:
     def test_unit_price_row_is_half_half(self, capsys):
@@ -513,3 +521,24 @@ class TestQfaCommand:
         _, payload = run_json(capsys, ["qfa", AUTOMATON])
         rows = payload["tables"]["acceptance"]["rows"]
         assert rows == [["", pytest.approx(0.0, abs=1e-12)]]
+
+    def test_shared_parser_keeps_no_words_between_runs(self, capsys):
+        assert _build_parser() is _build_parser()
+        run_json(capsys, ["qfa", AUTOMATON, "--word", "a", "--word", "aa"])
+        _, payload = run_json(capsys, ["qfa", AUTOMATON])
+        assert [row[0] for row in payload["tables"]["acceptance"]["rows"]] == [""]
+
+    def test_command_wrapped_after_the_parser_is_built_still_runs(self, capsys, monkeypatch):
+        import qgame.cli
+
+        run(capsys, ["qfa", AUTOMATON])
+        seen = []
+        original = qgame.cli.cmd_qfa
+
+        def wrapped(args):
+            seen.append(args.command)
+            return original(args)
+
+        monkeypatch.setattr(qgame.cli, "cmd_qfa", wrapped)
+        run(capsys, ["qfa", AUTOMATON])
+        assert seen == ["qfa"]

@@ -100,6 +100,15 @@ def test_eigenvectors_actually_belong_to_their_eigenvalue(label, sign):
     assert np.allclose(obs.matrix @ vec, sign * vec, atol=ATOL)
 
 
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_eigenvectors_are_computed_once_and_read_only(sign):
+    obs = observable("G")
+    vec = obs.eigenvector(sign)
+    assert obs.eigenvector(sign) is vec
+    with pytest.raises(ValueError):
+        vec[0] = 0.0
+
+
 def test_observable_tensor_builds_the_joint_label_and_matrix():
     joint = OBS_X.tensor(OBS_X_PRIME)
     assert joint.label == "X*X'"

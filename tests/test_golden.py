@@ -23,6 +23,7 @@ CASES = {
     "verify_seed123_corrupt": (["verify", "--seed", "123", "--corrupt", "0.01"], 1),
     "newcomb": (["newcomb"], 0),
     "gamble": (["gamble"], 0),
+    "gamble_sweep": (["gamble", "--sweep"], 0),
     "walk": (["walk"], 0),
     "walk_trials100000": (["walk", "--trials", "100000"], 0),
     "market_gaussian": (["market", "docs/examples/gaussian.json"], 0),

@@ -381,6 +381,38 @@ class TestByproductCache:
         with pytest.raises(ValueError):
             out.branch_map[0, 0] = 0.0
 
+    @pytest.mark.parametrize("name", sorted(transfer._CHAINS))
+    def test_cached_expected_maps_are_read_only(self, name):
+        for row in transfer._byproducts(name, GateSet()).values():
+            with pytest.raises(ValueError):
+                row.expected[0, 0] = 0.0
+
+    def test_singular_gates_fail_their_rows_and_the_ledger_runs_on(self):
+        by_name = {c.name: c for c in verify_universality(GateSet(hadamard=np.zeros((2, 2))),
+                                                          n_random=4)}
+        for name in ("transfer", "transfer_swapped", "byproduct_algebra"):
+            assert by_name[name].status == "fail"
+            assert "aborted" in by_name[name].detail and "singular" in by_name[name].detail
+        assert by_name["identity_zz"].status == "pass"
+        assert by_name["byproduct_distribution"].status == "info"
+        by_name = {c.name: c for c in verify_universality(GateSet(phase_t=np.zeros((2, 2))),
+                                                          n_random=4)}
+        for name in ("xsecond", "sigma_t", "sigma_t_conj"):
+            assert "aborted" in by_name[name].detail and "singular" in by_name[name].detail
+        assert by_name["transfer"].status == "pass"
+
+    def test_algebra_row_is_cached_per_gate_set_but_errors_are_not(self):
+        singular = GateSet(hadamard=np.zeros((2, 2)))
+        transfer._algebra_row.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="singular"):
+                transfer._algebra_deviation(singular)
+        assert transfer._algebra_row.cache_info().currsize == 0
+        first = transfer._algebra_deviation(GateSet())
+        assert transfer._algebra_deviation(GateSet()) == first
+        info = transfer._algebra_row.cache_info()
+        assert (info.currsize, info.hits) == (1, 1)
+
 
 # Public entry point and keyword arguments that run each declared chain.
 _ENTRY = {
@@ -539,14 +571,61 @@ class TestBatchedReplay:
         assert (got == 1.0) == (gates is _TILTED)
 
     def test_warm_ledger_makes_few_kernel_calls(self, monkeypatch):
+        # Per chain, one call per gate and two per measurement whatever the
+        # branch count: 58 for the eight chains, 4 for the implicit readout
+        # and 6 for the composite words.  Tables and the algebra row are warm.
         verify_universality()
-        calls = []
-        original = transfer.apply_matrix
+        calls, matches = [], []
+        original, original_match = transfer.apply_matrix, transfer.match_pauli_word
 
         def counting(*args, **kwargs):
             calls.append(args[0].shape)
             return original(*args, **kwargs)
 
+        def counting_match(*args, **kwargs):
+            matches.append(args[0].shape)
+            return original_match(*args, **kwargs)
+
         monkeypatch.setattr(transfer, "apply_matrix", counting)
+        monkeypatch.setattr(transfer, "match_pauli_word", counting_match)
         verify_universality()
-        assert len(calls) <= 300
+        assert len(calls) == 68
+        assert matches == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(transfer._CHAINS)), st.integers(1, 6), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_stacked_branches_equal_single_column_runs(self, name, k, fresh, seed):
+        # The chain's own discard is clean on its inputs.  Otherwise random
+        # registers drop a wire fixed by some one-wire measurement, which most
+        # columns leave entangled, so the fault is compared too.  There |0...0>
+        # tilted by 1e-8 has branches of mass ~1e-16, below PROB_EPS but not
+        # zero, which the stacked run keeps for other columns and must zero.
+        chain = transfer._CHAINS[name]
+        n = len(chain.wires)
+        rng = np.random.default_rng(seed)
+        steps = chain.bind(vars(GateSet()), {w: w for w in chain.wires})
+        if fresh:
+            block = chain.embed(transfer._stack(_inputs(chain, rng, k)))
+            consumed = (chain.consumed, chain.eigvec_step)
+        else:
+            tilted = QState(QState.basis(n, 0).amplitudes + 1e-8)
+            block = transfer._stack([random_state(n, rng) for _ in range(k)] + [tilted])
+            measured = [s for s in steps if isinstance(s, transfer.MeasureStep)]
+            j = int(rng.choice([j for j, s in enumerate(measured) if len(s.wires) == 1]))
+            consumed = (int(rng.choice(chain.wires)), j)
+        block = block[:, rng.permutation(block.shape[1])]
+        stack, fault = transfer._run_chain(block, n, steps, "enumerate", None, consumed)
+        faults = []
+        for j in range(block.shape[1]):
+            single, single_fault = transfer._run_chain(block[:, [j]], n, steps, "enumerate",
+                                                       None, consumed)
+            if single_fault is not None:
+                faults.append((j, str(single_fault[1])))
+            rows = [p for p in range(len(stack.signs)) if stack.mass[p, j] > 0]
+            assert [stack.signs[p] for p in rows] == list(single.signs)
+            assert stack.mass[rows, j].tobytes() == single.mass[:, 0].tobytes()
+            assert stack.amps[:, rows, j].tobytes() == single.amps[:, :, 0].tobytes()
+            dead = [p for p in range(len(stack.signs)) if p not in rows]
+            assert not stack.amps[:, dead, j].any()
+        assert (fault and (fault[0], str(fault[1]))) == (faults[0] if faults else None)
