@@ -26,6 +26,7 @@ import numpy as np
 from .config import seeded_rng
 from .errors import QGameError, ValidationError
 from .games import (
+    MAX_TRIALS,
     GambleParams,
     NewcombConfig,
     gvw_audit_response,
@@ -87,6 +88,9 @@ def cmd_newcomb(args) -> Report:
 
 
 def cmd_gamble(args) -> Report:
+    if not 1 <= args.trials <= MAX_TRIALS:
+        raise ValidationError(f"--trials must be from 1 to {MAX_TRIALS} (2**53), the "
+                              f"sampler's cap, got {args.trials}")
     params = GambleParams(theta=args.theta, p_verify=args.p_verify,
                           reward=args.reward)
     exact_bob, exact_alice = gvw_expected_payoffs(params)

@@ -22,6 +22,9 @@ from .states import Operator, QState
 
 _BREAKERS = ("absent", "I", "NOT", "qutrojan")
 
+# Largest round count gvw_simulate takes, so that every count is an exact float.
+MAX_TRIALS = 2**53
+
 
 @dataclass(frozen=True)
 class NewcombConfig:
@@ -135,32 +138,31 @@ def gvw_simulate(params: GambleParams, trials: int,
                  rng: np.random.Generator) -> GambleSample:
     """Sample ``trials`` independent rounds and report Bob's mean payoff.
 
+    The rounds are drawn as event counts (audits, then finds among the opened
+    rounds and flags among the audited ones), which have the joint law of
+    ``trials`` separate rounds at a cost that does not depend on ``trials``.
     The half-width is four standard errors, wide enough that the exact
     expectation falls inside it essentially always; a single round reports
     an infinite half-width since one draw carries no spread estimate.
     """
-    if trials < 1:
-        raise ValidationError(f"trials must be at least 1, got {trials}")
-    audited = rng.random(trials) < params.p_verify
-    n_audit = int(np.count_nonzero(audited))
-    found = rng.random(trials - n_audit) < params.found_probability
-    flagged = rng.random(n_audit) < params.detection_probability
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValidationError(f"trials must be from 1 to {MAX_TRIALS}, got {trials}")
+    n_audit = int(rng.binomial(trials, params.p_verify))
+    found = int(rng.binomial(trials - n_audit, params.found_probability))
+    flagged = int(rng.binomial(n_audit, params.detection_probability))
+    counts = {"found": found, "empty": trials - n_audit - found,
+              "detected": flagged, "clean": n_audit - flagged}
 
-    payoffs = np.empty(trials, dtype=float)
-    payoffs[~audited] = np.where(found, 1.0, -1.0)
-    payoffs[audited] = np.where(flagged, params.reward, -1.0)
-
-    mean = float(payoffs.mean())
+    losses = trials - found - flagged  # the rounds that pay Bob -1
+    mean = (found - losses) / trials + params.reward * (flagged / trials)
     if trials > 1:
-        half_width = 4.0 * float(payoffs.std(ddof=1)) / math.sqrt(trials)
+        # Centred in units of the largest payoff, so a huge reward cannot overflow.
+        scale = max(1.0, params.reward)
+        spread = sum(n * ((x - mean) / scale) ** 2 for n, x in (
+            (found, 1.0), (losses, -1.0), (flagged, params.reward)))
+        half_width = 4.0 * scale * math.sqrt(spread / (trials - 1)) / math.sqrt(trials)
     else:
         half_width = float("inf")
-    counts = {
-        "found": int(np.count_nonzero(found)),
-        "empty": int(np.count_nonzero(~found)),
-        "detected": int(np.count_nonzero(flagged)),
-        "clean": int(np.count_nonzero(~flagged)),
-    }
     return GambleSample(mean, half_width, trials, counts)
 
 

@@ -295,8 +295,17 @@ def _byproduct_table(name: str, gate_bytes: tuple[bytes, ...]) -> dict:
     return out
 
 
+def _finite_gate(gates: GateSet, field: str) -> np.ndarray:
+    """A gate that a ledger row reads; a NaN or infinite entry aborts the row
+    before numpy can warn about it."""
+    mat = getattr(gates, field)
+    if not np.all(np.isfinite(mat)):
+        raise ValidationError(f"the {field} gate is not finite")
+    return mat
+
+
 def _gate_key(name: str, gates: GateSet) -> tuple[bytes, ...]:
-    return tuple(np.asarray(getattr(gates, f), dtype=complex).tobytes()
+    return tuple(np.asarray(_finite_gate(gates, f), dtype=complex).tobytes()
                  for f in _CHAINS[name].reads)
 
 
@@ -427,7 +436,7 @@ def measure_composite(state: QState, pair: tuple[int, int], kind: str,
 
 
 def _composite_steps(pair: tuple[int, int], kind: str, gates: GateSet) -> tuple:
-    link = GateStep(gates.hadamard, (pair[1] if kind == "xx" else pair[0],))
+    link = GateStep(_finite_gate(gates, "hadamard"), (pair[1] if kind == "xx" else pair[0],))
     return link, MeasureStep(_XZ, tuple(pair)), link
 
 
@@ -585,24 +594,25 @@ def verify_universality(gates: GateSet = DEFAULT_GATES, *, n_random: int = 25,
     the implicit readout, the composite words, and the exact byproduct
     algebra.  The byproduct laws are recorded as informational entries.
     """
-    h, n, t = gates.hadamard, gates.not_gate, gates.phase_t
+    h, n, t = (functools.partial(_finite_gate, gates, field)
+               for field in ("hadamard", "not_gate", "phase_t"))
     rng = np.random.default_rng(seed)
     inputs = [random_state(1, rng) for _ in range(n_random)]
     pair_inputs = [random_state(2, rng) for _ in range(max(n_random // 2, 4))]
     rows = [
-        ("hnh", lambda: _gap(h @ n @ h, np.diag([-1j, 1j])), ATOL_ALGEBRA,
+        ("hnh", lambda: _gap(h() @ n() @ h(), np.diag([-1j, 1j])), ATOL_ALGEBRA,
          "literal switch-flip-switch product equals the diagonal phase pair"),
-        ("hsq", lambda: _gap(h @ h, -np.eye(2)), ATOL_ALGEBRA,
+        ("hsq", lambda: _gap(h() @ h(), -np.eye(2)), ATOL_ALGEBRA,
          "the basis switch squares to minus identity"),
-        ("dets", lambda: _gap([np.linalg.det(n), np.linalg.det(h)], [1.0, 1.0]), ATOL_ALGEBRA,
-         "flip and switch have unit determinant"),
-        ("xprime", lambda: _gap(h @ SIGMA_X @ h.conj().T, SIGMA_Z), ATOL_ALGEBRA,
+        ("dets", lambda: _gap([np.linalg.det(n()), np.linalg.det(h())], [1.0, 1.0]),
+         ATOL_ALGEBRA, "flip and switch have unit determinant"),
+        ("xprime", lambda: _gap(h() @ SIGMA_X @ h().conj().T, SIGMA_Z), ATOL_ALGEBRA,
          "switch conjugation carries the flip observable to the readout"),
-        ("xsecond", lambda: max(_gap(_inverse(t, "the phase gate") @ SIGMA_X @ t,
+        ("xsecond", lambda: max(_gap(_inverse(t(), "the phase gate") @ SIGMA_X @ t(),
                                      OBS_X_MINUS_SECOND.matrix),
                                 _gap(OBS_X_SECOND.matrix, SIGMA_Y)), ATOL_ALGEBRA,
          "phase-gate conjugation tilts the flip into (X - X'')/sqrt2, pinning X'' to sigma-y"),
-        ("gconj", lambda: _gap(h @ OBS_X_MINUS_SECOND.matrix @ h.conj().T, OBS_DIAG.matrix),
+        ("gconj", lambda: _gap(h() @ OBS_X_MINUS_SECOND.matrix @ h().conj().T, OBS_DIAG.matrix),
          ATOL_ALGEBRA, "switch conjugation carries the tilted flip to the diagonal mix"),
         ("involutions", lambda: max(_gap(o.matrix @ o.matrix, np.eye(2)) for o in (
             OBS_X, OBS_X_PRIME, OBS_X_SECOND, OBS_DIAG, OBS_X_MINUS_SECOND)),

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -353,13 +354,17 @@ def test_non_finite_corrupt_is_refused_by_name(capsys, value):
     assert out == ""
 
 
-def test_cli_import_loads_no_scipy():
+def _env_with_src() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cli_import_loads_no_scipy():
     probe = ("import qgame.cli, sys; print(any(m == 'scipy' or "
              "m.startswith('scipy.') for m in sys.modules))")
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
+    result = subprocess.run([sys.executable, "-c", probe], env=_env_with_src(),
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
 
@@ -455,6 +460,32 @@ class TestGambleCommand:
         by_name = {c["name"]: c for c in payload["checks"]}
         assert by_name["zero_sum"]["status"] == "pass"
         assert by_name["zero_sum"]["deviation"] == 0.0
+
+    @pytest.mark.parametrize("trials", ["0", "9007199254740993", "10000000000000000000"])
+    def test_trials_past_the_sampler_cap_are_refused_by_name(self, capsys, trials):
+        code, out, err = run(capsys, ["gamble", "--trials", trials])
+        assert code == 2
+        assert "--trials" in err and "Traceback" not in err
+        assert out == ""
+
+    def test_sweep_cost_and_memory_do_not_grow_with_trials(self):
+        def sweep(trials):
+            probe = ("import resource, sys; from qgame.cli import main; "
+                     "code = main(['gamble', '--sweep', '--trials', sys.argv[1], "
+                     "'--output', 'json', '--out', sys.argv[2]]); "
+                     "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+            started = time.perf_counter()
+            result = subprocess.run([sys.executable, "-c", probe, trials, os.devnull],
+                                    env=_env_with_src(), capture_output=True, text=True,
+                                    check=True, timeout=60)
+            code, maxrss_kb = map(int, result.stdout.split())
+            return code, time.perf_counter() - started, maxrss_kb / 1024
+
+        code, _, small_mb = sweep("10000")
+        huge_code, huge_s, huge_mb = sweep("1000000000000")
+        assert (code, huge_code) == (0, 0)
+        assert huge_s < 10.0
+        assert abs(huge_mb - small_mb) < 3.0
 
 
 class TestWalkCommand:

@@ -276,6 +276,27 @@ class TestGambleSimulation:
             gvw_simulate(GambleParams(0.1, 0.1, 1.0), 0, seeded_rng(0))
 
 
+@settings(max_examples=200, deadline=None)
+@given(theta=st.floats(0.0, math.pi / 2), p_verify=st.floats(0.0, 1.0),
+       reward=st.floats(1e-3, 1e100), trials=st.integers(1, 60),
+       seed=st.integers(0, 2**32 - 1))
+def test_counts_give_the_moments_of_their_payoff_array(theta, p_verify, reward, trials, seed):
+    sample = gvw_simulate(GambleParams(theta, p_verify, reward), trials, seeded_rng(seed))
+    c = sample.counts
+    assert min(c.values()) >= 0 and sum(c.values()) == trials
+    payoffs = np.repeat([1.0, -1.0, reward, -1.0],
+                        [c["found"], c["empty"], c["detected"], c["clean"]])
+    # The absolute floor only covers moments that cancel to (near) zero, where
+    # the array's own summation error is all that is left.
+    floor = 1e-12 * max(1.0, reward)
+    assert sample.mean_bob == pytest.approx(payoffs.mean(), rel=1e-12, abs=floor)
+    if trials == 1:
+        assert sample.half_width == math.inf
+    else:
+        assert sample.half_width == pytest.approx(
+            4.0 * payoffs.std(ddof=1) / math.sqrt(trials), rel=1e-12, abs=floor)
+
+
 class TestAutomaton:
     def _projector_one(self):
         return np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)

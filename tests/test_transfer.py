@@ -1,6 +1,7 @@
 """Measurement-driven gate synthesis: branch maps, byproducts, equivalences."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -400,6 +401,26 @@ class TestByproductCache:
         for name in ("xsecond", "sigma_t", "sigma_t_conj"):
             assert "aborted" in by_name[name].detail and "singular" in by_name[name].detail
         assert by_name["transfer"].status == "pass"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field,rows", [
+        ("hadamard", ("hnh", "hsq", "dets", "xprime", "gconj", "transfer",
+                      "transfer_swapped", "identity_h", "sigma_t_conj", "composite_xx",
+                      "composite_zz", "byproduct_algebra")),
+        ("not_gate", ("hnh", "dets")),
+        ("phase_t", ("xsecond", "sigma_t", "sigma_t_conj")),
+    ])
+    def test_non_finite_gates_fail_their_rows_without_a_warning(self, field, rows, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            checks = verify_universality(GateSet(**{field: np.full((2, 2), value)}),
+                                         n_random=4)
+        for check in checks:
+            if check.name in rows:
+                assert check.status == "fail"
+                assert check.detail.endswith(f"aborted: the {field} gate is not finite")
+            else:
+                assert check.status in ("pass", "info"), check.name
 
     def test_algebra_row_is_cached_per_gate_set_but_errors_are_not(self):
         singular = GateSet(hadamard=np.zeros((2, 2)))
