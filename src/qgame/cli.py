@@ -1,6 +1,7 @@
 """Command-line front end: identity ledgers, game runs, market tables.
 
-Every subcommand assembles a Report and renders it as text, JSON, or CSV.
+Every subcommand assembles a Report and streams it as text, JSON, or CSV
+to standard output or the ``--out`` file.
 Sampling commands derive all randomness from one ``--seed`` through
 sequential stream counters (seed stays the first entropy word, the
 sub-task counter the second), so a fixed seed yields byte-identical
@@ -8,7 +9,8 @@ output no matter how the work is scheduled.  Wall-clock time is only
 recorded under ``--timing`` since it would break that guarantee.
 
 Exit codes: 0 when every check passes, 1 when any check fails, 2 for
-usage errors, unreadable input files and an unwritable ``--out`` path.
+usage errors, unreadable input files and a report that could not be
+written.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -53,6 +56,7 @@ from .market import (
 from .report import CheckRecord, Report, Table
 from .transfer import transfer_byproduct_distribution, verify_universality
 from .walk import DEFAULT_STEP_CAP, survival_empirical, survival_model, walk_steps_batch
+from .walk import MAX_TRIALS as MAX_WALK_TRIALS
 
 _BREAKER_CHOICES = ("absent", "I", "NOT", "qutrojan")
 
@@ -150,8 +154,9 @@ def cmd_gamble(args) -> Report:
 
 
 def cmd_walk(args) -> Report:
-    if args.trials < 1:
-        raise ValidationError(f"trials must be at least 1, got {args.trials}")
+    if not 1 <= args.trials <= MAX_WALK_TRIALS:
+        raise ValidationError(f"--trials must be from 1 to {MAX_WALK_TRIALS}, the walk "
+                              f"sampler's cap, got {args.trials}")
     if not 1 <= args.n_max <= DEFAULT_STEP_CAP:
         raise ValidationError(f"--n-max must be from 1 to {DEFAULT_STEP_CAP}, the walk's "
                               f"step cap, got {args.n_max}")
@@ -327,10 +332,11 @@ def cmd_market(args) -> Report:
 
 
 def _wigner_as_table(grid_view) -> Table:
-    """The grid as a table of Python floats: rows follow p, columns follow q."""
+    """The grid as a table: rows follow p, columns follow q.  The grid itself
+    is the rows, one ``[p, *values]`` float array per p node, made as the
+    report is written."""
     return Table(columns=["p\\q", *map(repr, grid_view.q_nodes.tolist())],
-                 rows=[[p, *row] for p, row in zip(grid_view.p_nodes.tolist(),
-                                                   grid_view.values.tolist())])
+                 rows=grid_view)
 
 
 def cmd_qfa(args) -> Report:
@@ -452,16 +458,24 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if args.timing:
         report.wall_time_s = time.perf_counter() - started
-    rendered = report.render(args.output)
-    if args.out:
-        try:
-            Path(args.out).write_text(rendered)
-        except OSError as exc:
-            print(f"qgame {args.command}: cannot write report to {args.out}: "
-                  f"{exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(rendered)
+    # The file is opened only once the report exists, so an input error
+    # leaves no file.  A write that fails part way leaves what was written;
+    # exit code 2 says the report is incomplete.
+    try:
+        if args.out:
+            with open(args.out, "w") as out:
+                report.render(args.output, out)
+        else:
+            report.render(args.output, sys.stdout)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not args.out:
+            # Standard output is gone (a closed pipe, a full disk): point it
+            # at the null device, so the flush at exit does not fail again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"qgame {args.command}: cannot write report to "
+              f"{args.out or 'standard output'}: {exc}", file=sys.stderr)
+        return 2
     return report.exit_code()
 
 

@@ -18,7 +18,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .errors import (
     ImpossibleTransactionError,
     ValidationError,
 )
+from .report import csv_float_line
 
 TWO_PI = 2.0 * math.pi
 
@@ -36,6 +37,7 @@ _EDGE_AMPLITUDE = 1e-12
 _ALIAS_MASS = 1e-8
 _DEAD_AMPLITUDE = 1e-150
 MAX_WIGNER_POINTS = 4096
+_RESIDUE_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -280,6 +282,20 @@ class WignerGrid:
     def marginal_p(self) -> np.ndarray:
         return self.values.sum(axis=1) * self.q_step
 
+    def __iter__(self) -> Iterator[np.ndarray]:
+        """Rows of the grid's CSV table, ``[p, *values]`` as one float array
+        per p node, made one at a time so no n x (n + 1) copy is held."""
+        for p, row in zip(self.p_nodes, self.values):
+            yield np.concatenate(([p], row))
+
+
+def _max_abs(grid: np.ndarray) -> float:
+    """``np.max(np.abs(grid))`` bit for bit, reduced a block of rows at a time
+    so that no temporary the size of the grid is made.  A maximum is exact and
+    np.max propagates NaN, so the blocking cannot change the result."""
+    return float(np.max([np.max(np.abs(grid[r:r + _RESIDUE_ROWS]))
+                         for r in range(0, len(grid), _RESIDUE_ROWS)]))
+
 
 def wigner(psi: WaveFunction1D, *, h_e: float = TWO_PI) -> WignerGrid:
     """Discrete Wigner transform of a strategy.
@@ -320,7 +336,7 @@ def wigner(psi: WaveFunction1D, *, h_e: float = TWO_PI) -> WignerGrid:
         p_nodes=p_nodes,
         q_nodes=grid.nodes(),
         h_e=h_e,
-        max_imag=float(np.max(np.abs(folded.imag))),
+        max_imag=_max_abs(folded.imag),
         aliased=_boundary_mass(psi) > _ALIAS_MASS,
     )
 
@@ -444,8 +460,6 @@ def wave_to_json(psi: WaveFunction1D) -> str:
 def wigner_to_csv(w: WignerGrid) -> str:
     """The grid as CSV text: a ``p\\q`` header of q nodes, then one row per p node."""
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["p\\q", *map(repr, w.q_nodes.tolist())])
-    writer.writerows([repr(p), *map(repr, row)]
-                     for p, row in zip(w.p_nodes.tolist(), w.values.tolist()))
+    csv.writer(out, lineterminator="\n").writerow(["p\\q", *map(repr, w.q_nodes.tolist())])
+    out.writelines(map(csv_float_line, w))
     return out.getvalue()

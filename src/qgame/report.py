@@ -5,6 +5,10 @@ effective configuration, a list of named checks, and named tables.  JSON is
 the canonical rendering; CSV and text are derived views with stable column
 and section order.  Nothing here consults the clock unless a wall time was
 explicitly recorded, so renderings are byte-stable for a fixed seed.
+
+CSV is written row by row into a stream, so a table whose rows are made on
+demand (the market's Wigner grid, one float array per row) is never held
+as one string.  JSON and text reports are small and built whole.
 """
 
 from __future__ import annotations
@@ -13,7 +17,11 @@ import csv
 import io
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from typing import TextIO
+
+import numpy as np
 
 from . import __version__
 
@@ -42,10 +50,14 @@ class CheckRecord:
 
 @dataclass(frozen=True)
 class Table:
-    """Named columns plus rows of plain scalars."""
+    """Named columns plus rows of plain scalars.
+
+    ``rows`` is any iterable that can be read more than once.  A row is a
+    list of scalars or a 1-D float array.
+    """
 
     columns: list[str]
-    rows: list[list]
+    rows: Iterable
 
 
 def _json_scalar(value):
@@ -96,8 +108,7 @@ class Report:
     def to_json(self) -> str:
         return json.dumps(self.to_payload(), indent=2) + "\n"
 
-    def to_csv(self) -> str:
-        out = io.StringIO()
+    def _write_csv(self, out: TextIO) -> None:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["# qgame", __version__, self.command])
         if self.checks:
@@ -109,8 +120,11 @@ class Report:
         for name, table in self.tables.items():
             writer.writerow([f"# table {name}"])
             writer.writerow(table.columns)
-            writer.writerows(map(_format, row) for row in table.rows)
-        return out.getvalue()
+            for row in table.rows:
+                if isinstance(row, np.ndarray):
+                    out.write(csv_float_line(row))
+                else:
+                    writer.writerow(map(_format, row))
 
     def to_text(self) -> str:
         lines = [f"qgame {__version__} :: {self.command}"]
@@ -140,17 +154,29 @@ class Report:
             lines.append(f"wall time: {self.wall_time_s:.3f} s")
         return "\n".join(lines) + "\n"
 
-    def render(self, fmt: str) -> str:
-        if fmt == "json":
-            return self.to_json()
+    def render(self, fmt: str, out: TextIO | None = None) -> str | None:
+        """The report in ``fmt`` (json, csv or text) as a string, or, when a
+        text stream ``out`` is given, written into it and None returned."""
+        if fmt not in ("json", "csv", "text"):
+            raise ValueError(f"unknown output format {fmt!r}")
+        target = io.StringIO() if out is None else out
         if fmt == "csv":
-            return self.to_csv()
-        if fmt == "text":
-            return self.to_text()
-        raise ValueError(f"unknown output format {fmt!r}")
+            self._write_csv(target)
+        else:
+            target.write(self.to_json() if fmt == "json" else self.to_text())
+        return target.getvalue() if out is None else None
 
 
 def _format(value) -> str:
     if isinstance(value, float):
         return repr(float(value))
     return str(value)
+
+
+def csv_float_line(row: np.ndarray) -> str:
+    """One CSV line of a 1-D float array.
+
+    Byte for byte what ``csv.writer`` writes for the same values through
+    ``_format``: no float repr (nan, inf and exponents included) needs quoting.
+    """
+    return ",".join(map(repr, row.tolist())) + "\n"

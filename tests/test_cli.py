@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgame.cli import _build_parser, main
+from qgame.walk import MAX_TRIALS as WALK_MAX_TRIALS
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = ROOT / "docs"
@@ -185,6 +186,40 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not target.exists()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_while_streaming_is_a_usage_error(self, capsys):
+        # Every write to /dev/full fails, so the streamed grid fails part way.
+        target = "/dev/full"
+        code, out, err = run(capsys, ["market", GAUSSIAN, "--grid", "1024",
+                                      "--output", "csv", "--out", target])
+        assert code == 2
+        assert f"qgame market: cannot write report to {target}" in err
+        assert "Traceback" not in err and "Exception" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("reader", ["closed pipe", "full device"])
+    def test_failed_write_to_standard_output_is_a_usage_error(self, reader):
+        if reader == "full device" and not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full")
+        argv = [sys.executable, "-m", "qgame.cli", "market", GAUSSIAN, "--grid", "256",
+                "--output", "csv"]
+        with contextlib.ExitStack() as stack:
+            if reader == "closed pipe":
+                # The reader takes a few bytes of the 1.5 MB report and leaves.
+                proc = subprocess.Popen(argv, env=_env_with_src(), stdout=subprocess.PIPE,
+                                        stderr=subprocess.PIPE)
+                proc.stdout.read(10)
+                proc.stdout.close()
+            else:
+                full = stack.enter_context(open("/dev/full", "w"))
+                proc = subprocess.Popen(argv, env=_env_with_src(), stdout=full,
+                                        stderr=subprocess.PIPE)
+            err = proc.stderr.read().decode()
+            proc.stderr.close()
+            assert proc.wait(timeout=60) == 2
+        assert "qgame market: cannot write report to standard output" in err
+        assert "Traceback" not in err and "Exception" not in err
+
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, ["conjure"])
         assert code == 2
@@ -296,19 +331,23 @@ def _parser_arguments() -> dict:
 
 _ARGUMENTS = _parser_arguments()
 _ARGV_JUNK = ["-1", "0", "1", "7", "-0.5", "0.25", "64", "256", "10000",
-              "99999999999999999999", "1e400", "-1e308", "nan", "inf", "-inf",
+              "10000001", "99999999999999999999", "1e400", "-1e308", "nan", "inf", "-inf",
               "abc", "", "json", "csv", "a", "I", "hnh"]
 _INPUT_FILES = [GAUSSIAN, WAVE, AUTOMATON, str(ROOT / "absent.json"), ""]
 # Sizes stay small, so that no example allocates a large array.  --n-max is
-# drawn whole: past the walk's step cap it is refused before any work.
+# drawn whole: past the walk's step cap it is refused before any work.  So is
+# a --trials past the walk sampler's cap, while gamble's cost does not depend
+# on --trials, so only the band between the limit and that cap is left out.
 _SIZE_LIMITS = {"--trials": 10_000, "--grid": 256}
+_REFUSED_ABOVE = {"--trials": WALK_MAX_TRIALS}
 
 
 def _too_big(flag: str, value: str) -> bool:
     try:
-        return abs(float(value)) > _SIZE_LIMITS.get(flag, float("inf"))
+        size = abs(float(value))
     except ValueError:
         return False
+    return _SIZE_LIMITS.get(flag, float("inf")) < size <= _REFUSED_ABOVE.get(flag, float("inf"))
 
 
 @st.composite
@@ -497,6 +536,13 @@ class TestWalkCommand:
         assert rows[0][1] == 1.0
         assert rows[1][1] == 0.75
 
+    @pytest.mark.parametrize("trials", ["10000001", "10000000000000000000"])
+    def test_trials_past_the_sampler_cap_are_refused_by_name(self, capsys, trials):
+        code, out, err = run(capsys, ["walk", "--trials", trials])
+        assert code == 2
+        assert "--trials" in err and "10000000" in err and "Traceback" not in err
+        assert out == ""
+
     @pytest.mark.parametrize("n_max", ["10001", "99999999999999999999"])
     def test_horizon_past_the_step_cap_is_refused_by_name(self, capsys, n_max):
         code, out, err = run(capsys, ["walk", "--trials", "10", "--n-max", n_max])
@@ -526,6 +572,23 @@ class TestMarketCommand:
         assert "# table wigner_grid" in out
         tail = out.split("# table wigner_grid\n", 1)[1]
         assert len(tail.strip().splitlines()) == 65  # header plus 64 p-rows
+
+    def test_streamed_csv_grid_peaks_like_the_json_report(self):
+        # The CSV report adds the whole grid as a table; written row by row,
+        # it costs no more than a few rows of text over the JSON report.
+        def peak_mb(fmt):
+            probe = ("import resource, sys; from qgame.cli import main; "
+                     "code = main(['market', sys.argv[1], '--grid', '1024', "
+                     "'--output', sys.argv[2], '--out', sys.argv[3]]); "
+                     "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+            result = subprocess.run([sys.executable, "-c", probe, GAUSSIAN, fmt, os.devnull],
+                                    env=_env_with_src(), capture_output=True, text=True,
+                                    check=True, timeout=120)
+            code, maxrss_kb = map(int, result.stdout.split())
+            assert code == 0
+            return maxrss_kb / 1024
+
+        assert peak_mb("csv") <= peak_mb("json") + 16.0
 
     def test_grid_override_is_reported(self, capsys):
         _, payload = run_json(capsys, ["market", GAUSSIAN, "--grid", "128"])

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qgame import market as market_module
 from qgame import (
     GridTruncationError,
     ImpossibleTransactionError,
@@ -229,6 +230,29 @@ class TestWigner:
             tracemalloc.stop()
         assert peak < 2.5 * n * n * 16
 
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_max_imag_is_the_whole_grid_maximum(self, monkeypatch, n):
+        # One block of n rows is the unblocked np.max(np.abs(imag)).
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            psi = WaveFunction1D.normalized(
+                GridSpec(-8.0, 8.0, n), rng.normal(size=n) + 1j * rng.normal(size=n))
+            blocked = [wigner(psi).max_imag]
+            for rows in (5, n):
+                monkeypatch.setattr(market_module, "_RESIDUE_ROWS", rows)
+                blocked.append(wigner(psi).max_imag)
+            assert len({repr(value) for value in blocked}) == 1
+
+    @pytest.mark.parametrize("shape", [(64, 64), (130, 7), (1, 3)])
+    def test_blocked_maximum_matches_numpy_with_nan_and_signed_zero(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        grid = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        assert repr(market_module._max_abs(grid)) == repr(float(np.max(np.abs(grid))))
+        grid[-1, -1] = math.nan
+        assert math.isnan(market_module._max_abs(grid))
+        zeros = np.full(shape, -0.0)
+        assert repr(market_module._max_abs(zeros)) == repr(float(np.max(np.abs(zeros))))
+
 
 class TestMixture:
     def test_single_component_is_plain_wigner(self):
@@ -314,3 +338,4 @@ class TestSerialization:
         head = lines[0].split(",")
         assert head[0] == "p\\q"
         assert len(head) == 65
+        assert lines[1] == ",".join(map(repr, [float(w.p_nodes[0]), *w.values[0].tolist()]))

@@ -1,0 +1,48 @@
+"""Report rendering: the float-array CSV rows against the csv module's."""
+
+import csv
+import io
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qgame.report import Report, Table, _format, csv_float_line
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+                2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308,
+                1e-20, 1e16, 0.1]
+_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+
+
+def _reference_line(values) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(map(_format, values))
+    return out.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FLOATS, min_size=1, max_size=40))
+def test_float_array_line_matches_the_csv_writer(values):
+    row = np.array(values, dtype=float)
+    assert csv_float_line(row) == _reference_line(values)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.lists(_FLOATS, min_size=3, max_size=3), min_size=1, max_size=6))
+def test_array_rows_render_like_list_rows(rows):
+    def report(table_rows):
+        return Report("grid", {}, [], {"t": Table(["a", "b", "c"], table_rows)})
+
+    arrays = [np.array(row, dtype=float) for row in rows]
+    assert report(arrays).render("csv") == report(rows).render("csv")
+
+
+def test_render_into_a_stream_writes_what_it_returns():
+    report = Report("grid", {"n": 2}, [], {"t": Table(["x"], [[1.5], [math.nan]])})
+    for fmt in ("json", "csv", "text"):
+        out = io.StringIO()
+        assert report.render(fmt, out) is None
+        assert out.getvalue() == report.render(fmt)

@@ -10,6 +10,7 @@ from qgame import walk as walk_module
 from qgame.pauli import PauliTag
 from qgame.walk import (
     DEFAULT_STEP_CAP,
+    MAX_TRIALS,
     pauli_walk,
     survival_empirical,
     survival_model,
@@ -143,6 +144,23 @@ def test_bad_targets_and_caps_are_rejected():
         pauli_walk("X", rng, step_cap=0)
     with pytest.raises(ValidationError):
         walk_steps_batch("X", rng, 0)
+
+
+def test_trials_past_the_cap_are_refused_before_any_work():
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    for trials in (MAX_TRIALS + 1, 10**19):
+        with pytest.raises(ValidationError, match="trials"):
+            walk_steps_batch("X", rng, trials)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 20, 200])
+def test_survival_histogram_equals_the_mean_per_horizon(batch_steps, n_max):
+    # The per-horizon means the curve was read from before: the same floats.
+    for steps in (batch_steps, np.array([0, 0, 3, 7, 10_000]), np.array([5])):
+        expected = np.array([np.mean(steps > n) for n in range(n_max + 1)])
+        assert survival_empirical(steps, n_max).tobytes() == expected.tobytes()
 
 
 def test_survival_model_inputs():
