@@ -279,8 +279,11 @@ def _load_strategy(path: str, grid_override: int | None):
     else:
         n_points = _point_count(_number(payload, "n_points", path),
                                 f"{path}: field 'n_points'")
-    grid = GridSpec(_number(payload, "q_min", path), _number(payload, "q_max", path),
-                    n_points)
+    q_min, q_max = _number(payload, "q_min", path), _number(payload, "q_max", path)
+    try:
+        grid = GridSpec(q_min, q_max, n_points)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     if explicit:
         pairs = _sample_pairs(payload["samples"], n_points, path)
         return WaveFunction1D(grid, pairs[:, 0] + 1j * pairs[:, 1])
@@ -288,9 +291,12 @@ def _load_strategy(path: str, grid_override: int | None):
     if not isinstance(center, bool):
         raise ValidationError(
             f"{path}: field 'center' must be true or false, got {center!r}")
-    return make_gaussian_strategy(_number(payload, "mean", path, default=0.0),
-                                  _number(payload, "spread", path, default=1.0), grid,
-                                  center=center)
+    mean = _number(payload, "mean", path, default=0.0)
+    spread = _number(payload, "spread", path, default=1.0)
+    try:
+        return make_gaussian_strategy(mean, spread, grid, center=center)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def cmd_market(args) -> Report:

@@ -37,7 +37,10 @@ _EDGE_AMPLITUDE = 1e-12
 _ALIAS_MASS = 1e-8
 _DEAD_AMPLITUDE = 1e-150
 MAX_WIGNER_POINTS = 4096
-_RESIDUE_ROWS = 64
+# wigner transforms _BLOCK q columns at a time, so beside the n x n float grid
+# it holds one (_BLOCK, n) complex block and its gather temporaries, a few MB
+# at 4096 points.  The values do not depend on _BLOCK.
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -57,6 +60,10 @@ class GridSpec:
         if n < 64 or n & (n - 1) != 0:
             raise ValidationError(
                 f"n_points must be a power of two >= 64, got {n}")
+        if not 0.0 < self.step < math.inf:
+            raise ValidationError(
+                f"grid step (q_max - q_min) / n_points is {self.step!r} on "
+                f"[{self.q_min}, {self.q_max}]; it must be finite and positive")
 
     @property
     def step(self) -> float:
@@ -133,9 +140,15 @@ def make_gaussian_strategy(mean: float, spread: float, grid: GridSpec, *,
         raise ValidationError(f"spread must be positive, got {spread!r}")
     if not math.isfinite(mean):
         raise ValidationError(f"mean must be finite, got {mean!r}")
+    width = 2.0 * spread * spread
+    if not 0.0 < width < math.inf:
+        raise ValidationError(
+            f"spread {spread!r} is out of range: 2 * spread**2 is {width!r}")
     target = 0.0 if center else mean
     nodes = grid.nodes()
-    raw = np.exp(-((nodes - target) ** 2) / (2.0 * spread * spread))
+    # A far node's exponent may overflow to -inf; exp(-inf) = 0 is exact.
+    with np.errstate(over="ignore"):
+        raw = np.exp(-((nodes - target) ** 2) / width)
     peak = float(raw.max())
     edge = max(float(abs(raw[0])), float(abs(raw[-1])))
     if peak == 0.0 or edge / peak >= _EDGE_AMPLITUDE:
@@ -289,21 +302,14 @@ class WignerGrid:
             yield np.concatenate(([p], row))
 
 
-def _max_abs(grid: np.ndarray) -> float:
-    """``np.max(np.abs(grid))`` bit for bit, reduced a block of rows at a time
-    so that no temporary the size of the grid is made.  A maximum is exact and
-    np.max propagates NaN, so the blocking cannot change the result."""
-    return float(np.max([np.max(np.abs(grid[r:r + _RESIDUE_ROWS]))
-                         for r in range(0, len(grid), _RESIDUE_ROWS)]))
-
-
 def wigner(psi: WaveFunction1D, *, h_e: float = TWO_PI) -> WignerGrid:
     """Discrete Wigner transform of a strategy.
 
     Follows the shifted-product form with offsets x = 2m * step so both
     shifted arguments stay on the grid; the transform over m is folded to
-    length n and done with one FFT per column.  The real part is returned
-    with the worst imaginary residue recorded, and strategies carrying
+    length n and done with one FFT per column.  Columns are transformed
+    ``_BLOCK`` at a time, so the only n x n array is the real grid returned.
+    The worst imaginary residue is recorded, and strategies carrying
     visible mass at the grid edge are flagged as aliased.
     """
     hbar = h_e / TWO_PI
@@ -311,32 +317,39 @@ def wigner(psi: WaveFunction1D, *, h_e: float = TWO_PI) -> WignerGrid:
     n = grid.n_points
     if n > MAX_WIGNER_POINTS:
         raise CapacityError(
-            f"wigner needs an n x n work array; {n} exceeds the "
+            f"wigner needs an n x n grid; {n} exceeds the "
             f"{MAX_WIGNER_POINTS}-point limit")
     step = grid.step
     vec = psi.samples
-    folded = np.zeros((n, n), dtype=complex)
-    j = np.arange(n)
-    for r in range(n):
-        lo, hi = r, n - 1 - r
-        if lo <= hi:
-            jj = j[lo:hi + 1]
-            folded[r, lo:hi + 1] = vec[jj + r] * np.conj(vec[jj - r])
-        lo, hi = n - r, r - 1
-        if lo <= hi:
-            jj = j[lo:hi + 1]
-            folded[r, lo:hi + 1] = vec[jj + r - n] * np.conj(vec[jj - r + n])
-    # Shift, transform and scale in the one n x n buffer.
-    folded[1::2] *= -1.0
-    np.fft.ifft(folded, axis=0, out=folded)
-    folded *= (2.0 * step / h_e) * n
-    p_nodes = math.pi * hbar * (j - n // 2) / (n * step)
+    scale = (2.0 * step / h_e) * n
+    values = np.empty((n, n))
+    residues = []
+    for start in range(0, n, _BLOCK):
+        cols = np.arange(start, min(start + _BLOCK, n))
+        # Column j's live shifts are |m| <= min(j, n-1-j); shift m is folded
+        # to row m mod n, which lands along the block's contiguous last axis.
+        reach = np.minimum(cols, n - 1 - cols)[:, None]
+        top = int(reach.max())
+        shifts = np.arange(-top, top + 1)
+        products = (vec[(cols[:, None] + shifts) % n]
+                    * np.conj(vec[(cols[:, None] - shifts) % n]))
+        products[np.abs(shifts) > reach] = 0.0
+        block = np.zeros((cols.size, n), dtype=complex)
+        block[:, :top + 1] = products[:, top:]
+        block[:, n - top:] = products[:, :top]
+        block[:, 1::2] *= -1.0
+        np.fft.ifft(block, axis=1, out=block)
+        block *= scale
+        values[:, start:start + cols.size] = block.real.T
+        residues.append(np.max(np.abs(block.imag)))
+    p_nodes = math.pi * hbar * (np.arange(n) - n // 2) / (n * step)
     return WignerGrid(
-        values=np.ascontiguousarray(folded.real),
+        values=values,
         p_nodes=p_nodes,
         q_nodes=grid.nodes(),
         h_e=h_e,
-        max_imag=_max_abs(folded.imag),
+        # np.max over the block maxima propagates a NaN like one whole-grid max.
+        max_imag=float(np.max(residues)),
         aliased=_boundary_mass(psi) > _ALIAS_MASS,
     )
 

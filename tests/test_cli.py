@@ -153,6 +153,19 @@ class TestExitCodes:
         assert str(bad) in err and "'samples'" in err
         assert out == ""
 
+    @pytest.mark.parametrize("fields, expected, named", [
+        pytest.param({"q_min": -1e308, "q_max": 1e308}, 2, "input.json: grid step (q_max - q_min)",
+                     id="span-overflow"),
+        pytest.param({"spread": 1e-160}, 0, "", id="tiny-spread"),
+        pytest.param({"spread": 1e-170}, 2, "input.json: spread", id="vanishing-spread"),
+        pytest.param({"mean": 1e200, "center": False}, 2, "clips", id="far-mean"),
+    ])
+    def test_market_extreme_gaussian_fields_raise_no_warning(self, fields, expected, named):
+        code, output, caught = _exit_code("market", {**_GAUSSIAN_64, **fields}, [])
+        assert caught == []
+        assert code == expected
+        assert named in output and "Traceback" not in output
+
     def test_market_non_boolean_center_is_refused(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"kind": "gaussian", "q_min": -8.0,
@@ -285,32 +298,36 @@ def _payloads(draw, fields):
 
 
 def _exit_code(command, payload, extra):
-    """Exit code and output of one run; an escaping exception fails the test."""
+    """Exit code, output and warnings of one run; an escaping exception fails
+    the test."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input.json"
         path.write_text(json.dumps(payload))
         sink = io.StringIO()
-        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            warnings.simplefilter("always")
             try:
                 code = main([command, str(path), "--output", "json", *extra])
             except SystemExit as exc:
                 code = exc.code
-    return code, sink.getvalue()
+    return code, sink.getvalue(), [str(w.message) for w in caught]
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(_payloads(_PLAUSIBLE), _payloads(_WAVE_PLAUSIBLE)),
        st.sampled_from([[], ["--grid", "0"], ["--grid", "128"]]))
 def test_market_exit_code_contract_holds_for_any_payload(payload, extra):
-    code, output = _exit_code("market", payload, extra)
+    code, output, caught = _exit_code("market", payload, extra)
     assert code in (0, 1, 2), output
+    assert caught == []
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(_payloads(_FLIP_PLAUSIBLE), _JUNK),
        st.sampled_from([[], ["--word", "a"], ["--word", "ab"]]))
 def test_qfa_exit_code_contract_holds_for_any_payload(payload, extra):
-    code, output = _exit_code("qfa", payload, extra)
+    code, output, _ = _exit_code("qfa", payload, extra)
     assert code in (0, 1, 2), output
 
 
@@ -551,6 +568,21 @@ class TestWalkCommand:
         assert out == ""
 
 
+def _market_peak_mb(grid: str, fmt: str) -> float:
+    """Peak RSS in MB of a fresh process that runs ``market`` on the example
+    Gaussian at the given grid size and writes the report to the null device."""
+    probe = ("import resource, sys; from qgame.cli import main; "
+             "code = main(['market', sys.argv[1], '--grid', sys.argv[2], "
+             "'--output', sys.argv[3], '--out', sys.argv[4]]); "
+             "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    result = subprocess.run([sys.executable, "-c", probe, GAUSSIAN, grid, fmt, os.devnull],
+                            env=_env_with_src(), capture_output=True, text=True,
+                            check=True, timeout=120)
+    code, maxrss_kb = map(int, result.stdout.split())
+    assert code == 0
+    return maxrss_kb / 1024
+
+
 class TestMarketCommand:
     def test_unit_price_row_is_half_half(self, capsys):
         code, payload = run_json(capsys, ["market", GAUSSIAN])
@@ -576,19 +608,11 @@ class TestMarketCommand:
     def test_streamed_csv_grid_peaks_like_the_json_report(self):
         # The CSV report adds the whole grid as a table; written row by row,
         # it costs no more than a few rows of text over the JSON report.
-        def peak_mb(fmt):
-            probe = ("import resource, sys; from qgame.cli import main; "
-                     "code = main(['market', sys.argv[1], '--grid', '1024', "
-                     "'--output', sys.argv[2], '--out', sys.argv[3]]); "
-                     "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
-            result = subprocess.run([sys.executable, "-c", probe, GAUSSIAN, fmt, os.devnull],
-                                    env=_env_with_src(), capture_output=True, text=True,
-                                    check=True, timeout=120)
-            code, maxrss_kb = map(int, result.stdout.split())
-            assert code == 0
-            return maxrss_kb / 1024
+        assert _market_peak_mb("1024", "csv") <= _market_peak_mb("1024", "json") + 16.0
 
-        assert peak_mb("csv") <= peak_mb("json") + 16.0
+    def test_4096_point_grid_peaks_below_300_mb(self):
+        # One n x n float grid (134 MB at 4096 points) plus a block of columns.
+        assert _market_peak_mb("4096", "json") < 300.0
 
     def test_grid_override_is_reported(self, capsys):
         _, payload = run_json(capsys, ["market", GAUSSIAN, "--grid", "128"])

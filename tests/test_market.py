@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qgame import market as market_module
 from qgame import (
@@ -14,6 +16,7 @@ from qgame import (
     seeded_rng,
 )
 from qgame.market import (
+    TWO_PI,
     Buy,
     GridSpec,
     Sell,
@@ -187,6 +190,26 @@ class TestSupply:
                 supply_cdf(psi, price), abs=1e-12)
 
 
+_COMPLEX = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+
+
+def _row_loop_wigner(psi, h_e):
+    """Reference transform: one n x n complex array filled a p row at a time,
+    transformed down its columns; returns the real grid and max |imag|."""
+    n, vec = psi.grid.n_points, psi.samples
+    folded = np.zeros((n, n), dtype=complex)
+    j = np.arange(n)
+    for r in range(n):
+        jj = j[r:n - r]
+        folded[r, r:n - r] = vec[jj + r] * np.conj(vec[jj - r])
+        jj = j[n - r:r]
+        folded[r, n - r:r] = vec[jj + r - n] * np.conj(vec[jj - r + n])
+    folded[1::2] *= -1.0
+    np.fft.ifft(folded, axis=0, out=folded)
+    folded *= (2.0 * psi.grid.step / h_e) * n
+    return np.ascontiguousarray(folded.real), float(np.max(np.abs(folded.imag)))
+
+
 class TestWigner:
     def test_gaussian_matches_analytic_formula(self):
         psi = _gaussian(spread=1.0)
@@ -217,9 +240,9 @@ class TestWigner:
             GRID, np.ones(GRID.n_points, dtype=complex))
         assert wigner(flat).aliased
 
-    def test_transform_reuses_one_complex_buffer(self):
-        # One n x n complex work array plus the real grid and the residue
-        # scan; a copy per shift or scaling step would add n^2 x 16 bytes each.
+    def test_transform_holds_one_float_grid_plus_one_block(self):
+        # The n x n float grid returned plus one block of columns in flight;
+        # an n x n complex array anywhere would alone reach n^2 x 16 bytes.
         n = 1024
         psi = _gaussian(grid=GridSpec(-8.0, 8.0, n))
         tracemalloc.start()
@@ -228,30 +251,25 @@ class TestWigner:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * n * n * 16
+        assert peak < n * n * 16
 
-    @pytest.mark.parametrize("n", [64, 256])
-    def test_max_imag_is_the_whole_grid_maximum(self, monkeypatch, n):
-        # One block of n rows is the unblocked np.max(np.abs(imag)).
-        rng = np.random.default_rng(n)
-        for _ in range(3):
-            psi = WaveFunction1D.normalized(
-                GridSpec(-8.0, 8.0, n), rng.normal(size=n) + 1j * rng.normal(size=n))
-            blocked = [wigner(psi).max_imag]
-            for rows in (5, n):
-                monkeypatch.setattr(market_module, "_RESIDUE_ROWS", rows)
-                blocked.append(wigner(psi).max_imag)
-            assert len({repr(value) for value in blocked}) == 1
-
-    @pytest.mark.parametrize("shape", [(64, 64), (130, 7), (1, 3)])
-    def test_blocked_maximum_matches_numpy_with_nan_and_signed_zero(self, shape):
-        rng = np.random.default_rng(sum(shape))
-        grid = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
-        assert repr(market_module._max_abs(grid)) == repr(float(np.max(np.abs(grid))))
-        grid[-1, -1] = math.nan
-        assert math.isnan(market_module._max_abs(grid))
-        zeros = np.full(shape, -0.0)
-        assert repr(market_module._max_abs(zeros)) == repr(float(np.max(np.abs(zeros))))
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([64, 128, 256]).flatmap(
+               lambda n: st.lists(_COMPLEX, min_size=n, max_size=n)),
+           st.sampled_from([TWO_PI, 1.0]),
+           st.sampled_from([1, 5, market_module._BLOCK, None]))
+    def test_blocked_transform_is_the_row_loop_bit_for_bit(self, samples, h_e, block):
+        n = len(samples)
+        try:
+            psi = WaveFunction1D.normalized(GridSpec(-8.0, 8.0, n), samples)
+        except ValidationError:
+            assume(False)
+        expected, expected_imag = _row_loop_wigner(psi, h_e)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(market_module, "_BLOCK", block or n)
+            w = wigner(psi, h_e=h_e)
+        assert w.values.tobytes() == expected.tobytes()
+        assert repr(w.max_imag) == repr(expected_imag)
 
 
 class TestMixture:
