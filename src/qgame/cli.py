@@ -51,6 +51,7 @@ from .market import (
     supply_cdf,
     to_momentum,
     wigner,
+    wigner_summary,
     wigner_to_csv,  # noqa: F401  (perfbench/tracer.py wraps this name)
 )
 from .report import CheckRecord, Report, Table
@@ -160,9 +161,9 @@ def cmd_walk(args) -> Report:
     if not 1 <= args.n_max <= DEFAULT_STEP_CAP:
         raise ValidationError(f"--n-max must be from 1 to {DEFAULT_STEP_CAP}, the walk's "
                               f"step cap, got {args.n_max}")
-    steps = walk_steps_batch("X", seeded_rng(args.seed, 0), args.trials)
+    counts = walk_steps_batch("X", seeded_rng(args.seed, 0), args.trials)
     model = survival_model(args.n_max)
-    empirical = survival_empirical(steps, args.n_max)
+    empirical = survival_empirical(counts, args.n_max)
     rows = []
     worst_sigma = 0.0
     for n in range(args.n_max + 1):
@@ -172,7 +173,7 @@ def cmd_walk(args) -> Report:
             worst_sigma = max(worst_sigma, gap / sigma)
         rows.append([n, float(model[n]), float(empirical[n]),
                      float(empirical[n] - model[n])])
-    first_step = float(np.count_nonzero(steps == 1)) / args.trials
+    first_step = float(counts[1]) / args.trials
     first_sigma = math.sqrt(0.25 * 0.75 / args.trials)
     checks = [
         CheckRecord("first_step_quarter",
@@ -306,18 +307,20 @@ def cmd_market(args) -> Report:
     cdf_rows = [[price, demand_cdf(psi, price),
                  supply_cdf(momentum, price, in_momentum_rep=True)]
                 for price in prices]
-    grid_view = wigner(psi)
-    norm_gap = abs(grid_view.normalization() - 1.0)
+    # Only the CSV report prints the grid; the others need its reductions.
+    grid_view = wigner(psi) if args.output == "csv" else None
+    summary = grid_view.summary() if grid_view is not None else wigner_summary(psi)
+    norm_gap = abs(summary.normalization - 1.0)
     checks = [
         CheckRecord("wigner_normalization",
                     "pass" if norm_gap <= 1e-8 else "fail", norm_gap, 1e-8,
                     "phase-space mass against 1"),
         CheckRecord("wigner_real",
-                    "pass" if grid_view.max_imag <= 1e-10 else "fail",
-                    grid_view.max_imag, 1e-10,
+                    "pass" if summary.max_imag <= 1e-10 else "fail",
+                    summary.max_imag, 1e-10,
                     "largest imaginary residue before taking the real part"),
         CheckRecord("aliasing", "info",
-                    1.0 if grid_view.aliased else 0.0, None,
+                    1.0 if summary.aliased else 0.0, None,
                     "1 when visible mass reaches the grid edge"),
     ]
     tables = {
@@ -325,14 +328,13 @@ def cmd_market(args) -> Report:
         "wigner_summary": Table(
             columns=["normalization", "max_imag", "min_value", "p_step",
                      "q_step"],
-            rows=[[grid_view.normalization(), grid_view.max_imag,
-                   float(grid_view.values.min()), grid_view.p_step,
-                   grid_view.q_step]]),
+            rows=[[summary.normalization, summary.max_imag,
+                   summary.min_value, summary.p_step, summary.q_step]]),
     }
     report = Report("market",
                     {"strategy": args.strategy,
                      "n_points": psi.grid.n_points}, checks, tables)
-    if args.output == "csv":
+    if grid_view is not None:
         report.tables["wigner_grid"] = _wigner_as_table(grid_view)
     return report
 

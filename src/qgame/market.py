@@ -37,10 +37,13 @@ _EDGE_AMPLITUDE = 1e-12
 _ALIAS_MASS = 1e-8
 _DEAD_AMPLITUDE = 1e-150
 MAX_WIGNER_POINTS = 4096
-# wigner transforms _BLOCK q columns at a time, so beside the n x n float grid
-# it holds one (_BLOCK, n) complex block and its gather temporaries, a few MB
-# at 4096 points.  The values do not depend on _BLOCK.
-_BLOCK = 64
+# The Wigner transform runs _BLOCK q columns at a time, so beside the n x n
+# float grid (or, for a summary, one (n, _LEAF) strip) it holds one
+# (_BLOCK, n) complex block and its gather temporaries, a few MB at 4096
+# points.  The values do not depend on _BLOCK.
+_BLOCK = 32
+# numpy's pairwise summation adds runs of 128 consecutive values as leaves.
+_LEAF = 128
 
 
 @dataclass(frozen=True)
@@ -262,6 +265,22 @@ def _boundary_mass(psi: WaveFunction1D) -> float:
     return float((rho[0] + rho[-1]) * psi.grid.step)
 
 
+@dataclass(frozen=True)
+class WignerSummary:
+    """The reductions of a Wigner grid that the JSON and text reports print."""
+
+    normalization: float
+    max_imag: float
+    min_value: float
+    p_step: float
+    q_step: float
+    aliased: bool
+
+
+def _step(nodes: np.ndarray) -> float:
+    return float(nodes[1] - nodes[0])
+
+
 @dataclass(frozen=True, eq=False)
 class WignerGrid:
     """Phase-space pseudo-density on the (p, q) node lattice.
@@ -280,11 +299,11 @@ class WignerGrid:
 
     @property
     def p_step(self) -> float:
-        return float(self.p_nodes[1] - self.p_nodes[0])
+        return _step(self.p_nodes)
 
     @property
     def q_step(self) -> float:
-        return float(self.q_nodes[1] - self.q_nodes[0])
+        return _step(self.q_nodes)
 
     def normalization(self) -> float:
         return float(self.values.sum() * self.p_step * self.q_step)
@@ -295,6 +314,11 @@ class WignerGrid:
     def marginal_p(self) -> np.ndarray:
         return self.values.sum(axis=1) * self.q_step
 
+    def summary(self) -> WignerSummary:
+        return WignerSummary(self.normalization(), self.max_imag,
+                             float(self.values.min()), self.p_step, self.q_step,
+                             self.aliased)
+
     def __iter__(self) -> Iterator[np.ndarray]:
         """Rows of the grid's CSV table, ``[p, *values]`` as one float array
         per p node, made one at a time so no n x (n + 1) copy is held."""
@@ -302,28 +326,28 @@ class WignerGrid:
             yield np.concatenate(([p], row))
 
 
-def wigner(psi: WaveFunction1D, *, h_e: float = TWO_PI) -> WignerGrid:
-    """Discrete Wigner transform of a strategy.
-
-    Follows the shifted-product form with offsets x = 2m * step so both
-    shifted arguments stay on the grid; the transform over m is folded to
-    length n and done with one FFT per column.  Columns are transformed
-    ``_BLOCK`` at a time, so the only n x n array is the real grid returned.
-    The worst imaginary residue is recorded, and strategies carrying
-    visible mass at the grid edge are flagged as aliased.
-    """
-    hbar = h_e / TWO_PI
+def _p_nodes(psi: WaveFunction1D, h_e: float) -> np.ndarray:
+    """The p nodes of the Wigner grid; refuses a grid past the point limit."""
     grid = psi.grid
     n = grid.n_points
     if n > MAX_WIGNER_POINTS:
         raise CapacityError(
             f"wigner needs an n x n grid; {n} exceeds the "
             f"{MAX_WIGNER_POINTS}-point limit")
-    step = grid.step
+    return math.pi * (h_e / TWO_PI) * (np.arange(n) - n // 2) / (n * grid.step)
+
+
+def _column_blocks(psi: WaveFunction1D, h_e: float) -> Iterator[tuple]:
+    """The Wigner grid ``_BLOCK`` q columns at a time.
+
+    Yields ``(start, real, residue)``: ``real`` is the (n, B) real part of
+    columns start .. start + B - 1 and ``residue`` their max |imag|.  Only
+    one block of columns is alive at a time.
+    """
+    grid = psi.grid
+    n = grid.n_points
     vec = psi.samples
-    scale = (2.0 * step / h_e) * n
-    values = np.empty((n, n))
-    residues = []
+    scale = (2.0 * grid.step / h_e) * n
     for start in range(0, n, _BLOCK):
         cols = np.arange(start, min(start + _BLOCK, n))
         # Column j's live shifts are |m| <= min(j, n-1-j); shift m is folded
@@ -340,16 +364,77 @@ def wigner(psi: WaveFunction1D, *, h_e: float = TWO_PI) -> WignerGrid:
         block[:, 1::2] *= -1.0
         np.fft.ifft(block, axis=1, out=block)
         block *= scale
-        values[:, start:start + cols.size] = block.real.T
-        residues.append(np.max(np.abs(block.imag)))
-    p_nodes = math.pi * hbar * (np.arange(n) - n // 2) / (n * step)
+        yield start, block.real.T, np.max(np.abs(block.imag))
+
+
+def wigner(psi: WaveFunction1D, *, h_e: float = TWO_PI) -> WignerGrid:
+    """Discrete Wigner transform of a strategy.
+
+    Follows the shifted-product form with offsets x = 2m * step so both
+    shifted arguments stay on the grid; the transform over m is folded to
+    length n and done with one FFT per column.  Columns are transformed
+    ``_BLOCK`` at a time, so the only n x n array is the real grid returned.
+    The worst imaginary residue is recorded, and strategies carrying
+    visible mass at the grid edge are flagged as aliased.
+    """
+    p_nodes = _p_nodes(psi, h_e)
+    n = psi.grid.n_points
+    values = np.empty((n, n))
+    residues = []
+    for start, real, residue in _column_blocks(psi, h_e):
+        values[:, start:start + real.shape[1]] = real
+        residues.append(residue)
     return WignerGrid(
         values=values,
         p_nodes=p_nodes,
-        q_nodes=grid.nodes(),
+        q_nodes=psi.grid.nodes(),
         h_e=h_e,
         # np.max over the block maxima propagates a NaN like one whole-grid max.
         max_imag=float(np.max(residues)),
+        aliased=_boundary_mass(psi) > _ALIAS_MASS,
+    )
+
+
+def wigner_summary(psi: WaveFunction1D, *, h_e: float = TWO_PI) -> WignerSummary:
+    """``wigner(psi, h_e=h_e).summary()``, bit for bit, without the n x n grid.
+
+    numpy sums a contiguous n x n grid pairwise down to leaves of
+    ``_LEAF`` consecutive values, each a ``_LEAF``-column segment of one p
+    row.  The columns are gathered into one (n, _LEAF) strip at a time,
+    each strip's row segments are summed as those leaves, and the leaves are
+    combined in row-major order, so the total is ``values.sum()`` exactly.
+    The minimum and the largest imaginary residue are exact in any order.
+    """
+    n = psi.grid.n_points
+    if n < _LEAF:  # a leaf spans more than one p row; the grid is small
+        return wigner(psi, h_e=h_e).summary()
+    p_nodes = _p_nodes(psi, h_e)
+    strip = np.empty((n, _LEAF))
+    leaves = np.empty((n, n // _LEAF))
+    minima, residues = [], []
+    for start, real, residue in _column_blocks(psi, h_e):
+        residues.append(residue)
+        done = 0
+        while done < real.shape[1]:
+            at = (start + done) % _LEAF
+            take = min(real.shape[1] - done, _LEAF - at)
+            strip[:, at:at + take] = real[:, done:done + take]
+            done += take
+            if at + take == _LEAF:
+                leaves[:, (start + done - 1) // _LEAF] = np.add.reduce(strip, axis=1)
+                minima.append(strip.min())
+    # Above the leaves, a power-of-two count, the pairwise sum adds
+    # adjacent pairs level by level.
+    total = leaves.ravel()
+    while total.size > 1:
+        total = total[0::2] + total[1::2]
+    p_step, q_step = _step(p_nodes), _step(psi.grid.nodes())
+    return WignerSummary(
+        normalization=float(total[0] * p_step * q_step),
+        max_imag=float(np.max(residues)),
+        min_value=float(np.min(minima)),
+        p_step=p_step,
+        q_step=q_step,
         aliased=_boundary_mass(psi) > _ALIAS_MASS,
     )
 

@@ -17,8 +17,9 @@ from .errors import StepCapError, ValidationError
 from .pauli import LETTERS, PauliTag
 
 DEFAULT_STEP_CAP = 10_000
-# The batch sampler's trial cap.  Its bookkeeping is O(trials), about 16
-# bytes per walk at peak, so the cap bounds a run's memory.
+# The batch sampler's trial cap.  It bounds a run's time, not its memory:
+# beside one block of draws the sampler keeps one byte per walk that outlives
+# a window, about a tenth of the walks.
 MAX_TRIALS = 10_000_000
 
 # Letters as 2-bit codes in LETTERS order: composition mod phase is bitwise XOR.
@@ -79,46 +80,52 @@ def pauli_walk(target, rng: np.random.Generator, *, initial: str = "I",
 
 def walk_steps_batch(target, rng: np.random.Generator, trials: int, *,
                      step_cap: int = DEFAULT_STEP_CAP) -> np.ndarray:
-    """Step counts of many independent walks, drawn with one generator.
+    """Step-count histogram of many independent walks, drawn with one generator.
 
-    The letter draws are honest (each walk composes uniform letters until it
-    hits); composition mod phase reduces to XOR on 2-bit codes, which is what
-    lets the whole batch run as array operations.  Memory beyond the
-    per-trial bookkeeping is bounded by one block of ``_BLOCK`` walks.
+    Entry n of the returned int64 array, of length ``step_cap + 1``, counts
+    the walks that hit the target after exactly n steps.  The letter draws
+    are honest (each walk composes uniform letters until it hits);
+    composition mod phase reduces to XOR on 2-bit codes, which is what lets
+    the whole batch run as array operations.  Between windows only the
+    running codes of the walks still pending are kept, one byte each, and
+    the draws are bounded by one block of ``_BLOCK`` walks.
     """
     goal_code = _CODE[_as_target(target)]
     if not 1 <= trials <= MAX_TRIALS:
         raise ValidationError(f"trials must be from 1 to {MAX_TRIALS}, got {trials}")
+    if step_cap < 1:
+        raise ValidationError("step cap must be positive")
+    counts = np.zeros(step_cap + 1, dtype=np.int64)
     if goal_code == 0:
-        return np.zeros(trials, dtype=np.int64)
-    steps = np.zeros(trials, dtype=np.int64)
-    # Narrow bookkeeping: trial indices fit int32, and the running word of
-    # each walk is a 2-bit code.
-    pending = np.arange(trials, dtype=np.int32)
-    carry = np.zeros(trials, dtype=np.uint8)
+        counts[0] = trials
+        return counts
+    # The first window starts every walk from code 0; later ones resume the
+    # pending walks, in trial order, from their running codes.
+    pending, carry = trials, None
     offset = 0
-    while pending.size and offset < step_cap:
+    while pending and offset < step_cap:
         width = min(_WINDOW, step_cap - offset)
         survivors = []
-        for start in range(0, pending.size, _BLOCK):
-            rows = pending[start:start + _BLOCK]
-            running = rng.integers(4, size=(rows.size, width))
+        for start in range(0, pending, _BLOCK):
+            size = min(_BLOCK, pending - start)
+            running = rng.integers(4, size=(size, width))
             np.bitwise_xor.accumulate(running, axis=1, out=running)
-            running ^= carry[rows, None]
+            if carry is not None:
+                running ^= carry[start:start + size, None]
             hits = running == goal_code
             any_hit = hits.any(axis=1)
-            first = np.argmax(hits, axis=1)
-            steps[rows[any_hit]] = offset + first[any_hit] + 1
-            carry[rows] = running[:, -1]
-            survivors.append(rows[~any_hit])
-        pending = np.concatenate(survivors)
+            first = np.argmax(hits[any_hit], axis=1)
+            counts[offset + 1:offset + 1 + width] += np.bincount(first, minlength=width)
+            survivors.append(running[~any_hit, -1].astype(np.uint8))
+        carry = np.concatenate(survivors)
+        pending = carry.size
         offset += width
-    if pending.size:
+    if pending:
         raise StepCapError(
-            f"{pending.size} of {trials} walks missed the target within {step_cap} steps",
+            f"{pending} of {trials} walks missed the target within {step_cap} steps",
             steps=step_cap,
         )
-    return steps
+    return counts
 
 
 def survival_model(n_max: int) -> np.ndarray:
@@ -128,13 +135,14 @@ def survival_model(n_max: int) -> np.ndarray:
     return (3.0 / 4.0) ** np.arange(n_max + 1)
 
 
-def survival_empirical(steps: np.ndarray, n_max: int) -> np.ndarray:
+def survival_empirical(counts: np.ndarray, n_max: int) -> np.ndarray:
     """Fraction of walks still unfinished after each n up to n_max.
 
-    One histogram of the step counts, clipped at n_max + 1, and its running
-    sum: the count of walks past n is exact, and dividing it by the trial
-    count gives the same float as the mean of ``steps > n``.
+    ``counts`` is a step-count histogram of at least n_max + 1 entries, as
+    ``walk_steps_batch`` returns.  The count of walks past n is exact, and
+    dividing it by the trial count gives the same float as the mean of
+    ``steps > n`` over the walks.
     """
-    steps = np.asarray(steps)
-    counts = np.bincount(np.minimum(steps, n_max + 1), minlength=n_max + 2)
-    return (steps.size - np.cumsum(counts[:n_max + 1])) / steps.size
+    counts = np.asarray(counts)
+    trials = counts.sum()
+    return (trials - np.cumsum(counts[:n_max + 1])) / trials

@@ -149,12 +149,12 @@ def test_04_measured_phase_gate_branches(capsys):
 
 def test_05_correction_walk_statistics(capsys):
     trials = 100_000
-    steps = walk_steps_batch("X", seeded_rng(SEED, 5), trials)
-    first = float(np.count_nonzero(steps == 1)) / trials
+    counts = walk_steps_batch("X", seeded_rng(SEED, 5), trials)
+    first = float(counts[1]) / trials
     first_gap = abs(first - 0.25)
     first_band = 4 * math.sqrt(0.25 * 0.75 / trials)
     model = survival_model(20)
-    empirical = survival_empirical(steps, 20)
+    empirical = survival_empirical(counts, 20)
     worst_sigma = 0.0
     for n in range(1, 21):
         sigma = math.sqrt(model[n] * (1.0 - model[n]) / trials)

@@ -417,6 +417,14 @@ def _env_with_src() -> dict:
     return env
 
 
+# A probe's peak RSS in kB, as an expression the probe prints: the high-water
+# mark of its own address space.  Its ru_maxrss would not do, because Linux
+# carries the spawning process's peak across exec, so a probe started from a
+# large test process would read that process's peak.
+_PROBE_PEAK_KB = ("[int(line.split()[1]) for line in open('/proc/self/status') "
+                  "if line.startswith('VmHWM:')][0]")
+
+
 def test_cli_import_loads_no_scipy():
     probe = ("import qgame.cli, sys; print(any(m == 'scipy' or "
              "m.startswith('scipy.') for m in sys.modules))")
@@ -526,16 +534,16 @@ class TestGambleCommand:
 
     def test_sweep_cost_and_memory_do_not_grow_with_trials(self):
         def sweep(trials):
-            probe = ("import resource, sys; from qgame.cli import main; "
+            probe = ("import sys; from qgame.cli import main; "
                      "code = main(['gamble', '--sweep', '--trials', sys.argv[1], "
                      "'--output', 'json', '--out', sys.argv[2]]); "
-                     "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+                     f"print(code, {_PROBE_PEAK_KB})")
             started = time.perf_counter()
             result = subprocess.run([sys.executable, "-c", probe, trials, os.devnull],
                                     env=_env_with_src(), capture_output=True, text=True,
                                     check=True, timeout=60)
-            code, maxrss_kb = map(int, result.stdout.split())
-            return code, time.perf_counter() - started, maxrss_kb / 1024
+            code, peak_kb = map(int, result.stdout.split())
+            return code, time.perf_counter() - started, peak_kb / 1024
 
         code, _, small_mb = sweep("10000")
         huge_code, huge_s, huge_mb = sweep("1000000000000")
@@ -567,20 +575,30 @@ class TestWalkCommand:
         assert "--n-max" in err and "Traceback" not in err
         assert out == ""
 
+    def test_ten_million_trials_peak_below_80_mb(self):
+        # Only the walks pending after a window keep a byte each; one int64
+        # step count per trial would alone be 80 MB here.
+        assert _peak_mb("walk", "--trials", "10000000", "--output", "json") < 80.0
 
-def _market_peak_mb(grid: str, fmt: str) -> float:
-    """Peak RSS in MB of a fresh process that runs ``market`` on the example
-    Gaussian at the given grid size and writes the report to the null device."""
-    probe = ("import resource, sys; from qgame.cli import main; "
-             "code = main(['market', sys.argv[1], '--grid', sys.argv[2], "
-             "'--output', sys.argv[3], '--out', sys.argv[4]]); "
-             "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
-    result = subprocess.run([sys.executable, "-c", probe, GAUSSIAN, grid, fmt, os.devnull],
+
+def _peak_mb(*argv: str) -> float:
+    """Peak RSS in MB of a fresh process that runs ``qgame argv`` and writes
+    the report to the null device; the command must exit 0."""
+    probe = ("import sys; from qgame.cli import main; "
+             f"code = main(sys.argv[1:] + ['--out', {os.devnull!r}]); "
+             f"print(code, {_PROBE_PEAK_KB})")
+    result = subprocess.run([sys.executable, "-c", probe, *argv],
                             env=_env_with_src(), capture_output=True, text=True,
                             check=True, timeout=120)
-    code, maxrss_kb = map(int, result.stdout.split())
+    code, peak_kb = map(int, result.stdout.split())
     assert code == 0
-    return maxrss_kb / 1024
+    return peak_kb / 1024
+
+
+def _market_peak_mb(grid: str, fmt: str) -> float:
+    """Peak RSS in MB of ``market`` on the example Gaussian at the given grid
+    size and output format."""
+    return _peak_mb("market", GAUSSIAN, "--grid", grid, "--output", fmt)
 
 
 class TestMarketCommand:
@@ -613,6 +631,11 @@ class TestMarketCommand:
     def test_4096_point_grid_peaks_below_300_mb(self):
         # One n x n float grid (134 MB at 4096 points) plus a block of columns.
         assert _market_peak_mb("4096", "json") < 300.0
+
+    def test_4096_point_json_report_holds_no_grid(self):
+        # JSON and text reports reduce the grid a strip at a time; the n x n
+        # float grid alone would be 134 MB.
+        assert _market_peak_mb("4096", "json") < 100.0
 
     def test_grid_override_is_reported(self, capsys):
         _, payload = run_json(capsys, ["market", GAUSSIAN, "--grid", "128"])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qgame import market as market_module
 from qgame import (
+    CapacityError,
     GridTruncationError,
     ImpossibleTransactionError,
     ValidationError,
@@ -30,6 +31,7 @@ from qgame.market import (
     to_momentum,
     transaction_project,
     wigner,
+    wigner_summary,
     wigner_to_csv,
 )
 
@@ -191,6 +193,11 @@ class TestSupply:
 
 
 _COMPLEX = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+_WAVE_SAMPLES = st.sampled_from([64, 128, 256]).flatmap(
+    lambda n: st.lists(_COMPLEX, min_size=n, max_size=n))
+# Column-block widths for wigner's _BLOCK: 32 is the default, 64 the width
+# used before it, and None stands for one block of every column.
+_BLOCK_WIDTHS = st.sampled_from([1, 5, 32, 64, None])
 
 
 def _row_loop_wigner(psi, h_e):
@@ -254,10 +261,7 @@ class TestWigner:
         assert peak < n * n * 16
 
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from([64, 128, 256]).flatmap(
-               lambda n: st.lists(_COMPLEX, min_size=n, max_size=n)),
-           st.sampled_from([TWO_PI, 1.0]),
-           st.sampled_from([1, 5, market_module._BLOCK, None]))
+    @given(_WAVE_SAMPLES, st.sampled_from([TWO_PI, 1.0]), _BLOCK_WIDTHS)
     def test_blocked_transform_is_the_row_loop_bit_for_bit(self, samples, h_e, block):
         n = len(samples)
         try:
@@ -270,6 +274,57 @@ class TestWigner:
             w = wigner(psi, h_e=h_e)
         assert w.values.tobytes() == expected.tobytes()
         assert repr(w.max_imag) == repr(expected_imag)
+
+
+def _assert_summary_is_the_grid(summary, full):
+    # repr tells -0.0 from 0.0 and would show a last-bit difference.
+    assert repr(summary.normalization) == repr(full.normalization())
+    assert repr(summary.min_value) == repr(float(full.values.min()))
+    assert repr(summary.max_imag) == repr(full.max_imag)
+    assert summary == full.summary()
+
+
+class TestWignerSummary:
+    @settings(max_examples=60, deadline=None)
+    @given(_WAVE_SAMPLES, st.sampled_from([TWO_PI, 1.0]), _BLOCK_WIDTHS)
+    def test_streamed_reductions_are_the_full_grid_bit_for_bit(self, samples, h_e,
+                                                               block):
+        n = len(samples)
+        try:
+            psi = WaveFunction1D.normalized(GridSpec(-8.0, 8.0, n), samples)
+        except ValidationError:
+            assume(False)
+        full = wigner(psi, h_e=h_e)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(market_module, "_BLOCK", block or n)
+            summary = wigner_summary(psi, h_e=h_e)
+        _assert_summary_is_the_grid(summary, full)
+
+    @pytest.mark.parametrize("n", [512, 2048, 4096])
+    def test_seeded_gaussians_match_the_full_grid(self, n):
+        rng = seeded_rng(11, n)
+        psi = _gaussian(spread=rng.uniform(0.6, 1.0), mean=rng.uniform(-1.0, 1.0),
+                        grid=GridSpec(-8.0, 8.0, n), center=False)
+        _assert_summary_is_the_grid(wigner_summary(psi), wigner(psi))
+
+    def test_summary_holds_no_grid(self):
+        # One (n, 128) strip and one block of columns: a fraction of the
+        # n x n float grid that wigner returns, and linear in n.
+        n = 2048
+        psi = _gaussian(grid=GridSpec(-8.0, 8.0, n))
+        tracemalloc.start()
+        try:
+            wigner_summary(psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 3
+
+    @pytest.mark.parametrize("transform", [wigner, wigner_summary])
+    def test_grid_past_the_point_limit_is_refused(self, transform):
+        grid = GridSpec(-8.0, 8.0, 2 * market_module.MAX_WIGNER_POINTS)
+        with pytest.raises(CapacityError):
+            transform(WaveFunction1D.normalized(grid, np.ones(grid.n_points)))
 
 
 class TestMixture:
