@@ -4,8 +4,6 @@ from .config import ATOL_ALGEBRA, ATOL_CIRCUIT, ATOL_QUAD, max_qubits, seeded_rn
 from .errors import (
     CapacityError,
     GridTruncationError,
-    ImpossibleBranchError,
-    ImpossibleTransactionError,
     QGameError,
     StepCapError,
     ValidationError,
@@ -29,8 +27,6 @@ __all__ = [
     "CapacityError",
     "DensityOp",
     "GridTruncationError",
-    "ImpossibleBranchError",
-    "ImpossibleTransactionError",
     "Operator",
     "QGameError",
     "QState",

@@ -389,11 +389,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qgame",
         description="Quantum game toolbox: identity ledgers, game runs, "
                     "market tables.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_seed, default=0,
-                        help="base seed for all sampling (default 0)")
-    common.add_argument("--trials", type=int, default=10_000,
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=_seed, default=0,
+                      help="base seed for all sampling (default 0)")
+    trials = argparse.ArgumentParser(add_help=False)
+    trials.add_argument("--trials", type=int, default=10_000,
                         help="Monte-Carlo round count (default 10000)")
+    common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", choices=("text", "json", "csv"),
                         default="text", help="report rendering (default text)")
     common.add_argument("--out", metavar="PATH",
@@ -403,7 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", parents=[common],
+    p_verify = sub.add_parser("verify", parents=[seed, common],
                               help="run the full identity and synthesis ledger")
     p_verify.add_argument("--only", metavar="CHECK",
                           help="keep a single named check in the report")
@@ -419,7 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            default="absent",
                            help="lower-wire insert (default absent)")
 
-    p_gamble = sub.add_parser("gamble", parents=[common],
+    p_gamble = sub.add_parser("gamble", parents=[seed, trials, common],
                               help="verified gambling payoffs, exact and sampled")
     p_gamble.add_argument("--theta", type=float, default=math.pi / 4,
                           help="preparation angle (default pi/4, honest)")
@@ -430,7 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gamble.add_argument("--sweep", action="store_true",
                           help="add a 101-point preparation-angle sweep table")
 
-    p_walk = sub.add_parser("walk", parents=[common],
+    p_walk = sub.add_parser("walk", parents=[seed, trials, common],
                             help="correction walk survival curve vs the model")
     p_walk.add_argument("--n-max", type=int, default=20, dest="n_max",
                         help="largest survival horizon reported (default 20)")

@@ -13,14 +13,6 @@ class CapacityError(QGameError):
     """A register or operator would exceed the configured qubit budget."""
 
 
-class ImpossibleBranchError(QGameError):
-    """A measurement outcome with zero probability was requested."""
-
-
-class ImpossibleTransactionError(QGameError):
-    """A trade was requested at a node where the strategy carries no weight."""
-
-
 class GridTruncationError(QGameError):
     """A grid is too narrow for the requested strategy.
 

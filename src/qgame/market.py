@@ -18,16 +18,11 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
-from .errors import (
-    CapacityError,
-    GridTruncationError,
-    ImpossibleTransactionError,
-    ValidationError,
-)
+from .errors import CapacityError, GridTruncationError, ValidationError
 from .report import csv_float_line
 
 TWO_PI = 2.0 * math.pi
@@ -35,7 +30,6 @@ TWO_PI = 2.0 * math.pi
 _NORM_ATOL = 1e-10
 _EDGE_AMPLITUDE = 1e-12
 _ALIAS_MASS = 1e-8
-_DEAD_AMPLITUDE = 1e-150
 MAX_WIGNER_POINTS = 4096
 # The Wigner transform runs _BLOCK q columns at a time, so beside the n x n
 # float grid (or, for a summary, one (n, _LEAF) strip) it holds one
@@ -137,7 +131,7 @@ def make_gaussian_strategy(mean: float, spread: float, grid: GridSpec, *,
     The density then has variance spread^2 / 2.  With ``center`` on (the
     default) the profile is placed so E(q) = 0 regardless of the requested
     mean, matching the unit convention that log prices are centered; pass
-    ``center=False`` to keep a displaced component, e.g. for mixtures.
+    ``center=False`` to keep the requested mean.
     """
     if not (math.isfinite(spread) and spread > 0.0):
         raise ValidationError(f"spread must be positive, got {spread!r}")
@@ -437,112 +431,6 @@ def wigner_summary(psi: WaveFunction1D, *, h_e: float = TWO_PI) -> WignerSummary
         q_step=q_step,
         aliased=_boundary_mass(psi) > _ALIAS_MASS,
     )
-
-
-def mix_wigner(components: Sequence[tuple[float, WaveFunction1D]], *,
-               h_e: float = TWO_PI) -> WignerGrid:
-    """Convex combination of strategy Wigner grids, taken pointwise."""
-    if not components:
-        raise ValidationError("mixture needs at least one component")
-    weights = np.array([w for w, _ in components], dtype=float)
-    if np.any(weights < 0.0):
-        raise ValidationError("mixture weights must be nonnegative")
-    if abs(weights.sum() - 1.0) > 1e-12:
-        raise ValidationError(f"mixture weights sum to {weights.sum()}, not 1")
-    base = components[0][1].grid
-    for _, wave in components[1:]:
-        if wave.grid != base:
-            raise ValidationError("mixture components must share one grid")
-    grids = [wigner(wave, h_e=h_e) for _, wave in components]
-    values = np.zeros_like(grids[0].values)
-    for weight, part in zip(weights, grids):
-        values += weight * part.values
-    return WignerGrid(
-        values=values,
-        p_nodes=grids[0].p_nodes,
-        q_nodes=grids[0].q_nodes,
-        h_e=h_e,
-        max_imag=max(part.max_imag for part in grids),
-        aliased=any(part.aliased for part in grids),
-    )
-
-
-@dataclass(frozen=True)
-class Buy:
-    """Buy leg: project onto the log-price node nearest ``at``."""
-
-    at: float
-
-
-@dataclass(frozen=True)
-class Sell:
-    """Sell leg: project onto the conjugate-coordinate node nearest ``at``."""
-
-    at: float
-
-
-@dataclass(frozen=True, eq=False)
-class LegOutcome:
-    """One trader's projection record."""
-
-    side: str
-    requested: float
-    node_value: float
-    node_index: int
-    snap_delta: float
-    amplitude: float
-    post: WaveFunction1D
-
-
-def _nearest_node(grid: GridSpec, value: float) -> tuple[int, float]:
-    index = int(round((value - grid.q_min) / grid.step))
-    index = min(max(index, 0), grid.n_points - 1)
-    return index, grid.q_min + index * grid.step
-
-
-def transaction_project(traders: Sequence[WaveFunction1D],
-                        division: Sequence[Buy | Sell], *,
-                        h_e: float = TWO_PI) -> list[LegOutcome]:
-    """Apply the transaction projection for a caller-supplied division.
-
-    Buyers collapse to the grid stand-in for a sharp log price; their
-    recorded amplitude is the density mass at that node.  Sellers are
-    treated the same way in the conjugate representation, which leaves
-    their position profile a flat-modulus wave.  Node amplitudes below
-    the dead threshold abort with an impossible-transaction error.
-    """
-    if len(traders) != len(division):
-        raise ValidationError(
-            f"{len(traders)} traders but {len(division)} division entries")
-    outcomes: list[LegOutcome] = []
-    for slot, (psi, leg) in enumerate(zip(traders, division)):
-        if isinstance(leg, Buy):
-            wave, side = psi, "buy"
-        elif isinstance(leg, Sell):
-            wave, side = to_momentum(psi, h_e=h_e), "sell"
-        else:
-            raise ValidationError(f"division entry {slot} is not Buy or Sell")
-        index, node = _nearest_node(wave.grid, leg.at)
-        amplitude = float(wave.density()[index]) * wave.grid.step
-        if amplitude < _DEAD_AMPLITUDE:
-            raise ImpossibleTransactionError(
-                f"trader {slot}: no amplitude at node {node:.6g} "
-                f"({side} side)")
-        collapsed = np.zeros(wave.grid.n_points, dtype=complex)
-        collapsed[index] = 1.0 / math.sqrt(wave.grid.step)
-        post = WaveFunction1D(wave.grid, collapsed)
-        if side == "sell":
-            post = from_momentum(post, psi.grid, h_e=h_e)
-        outcomes.append(LegOutcome(
-            side=side,
-            requested=float(leg.at),
-            node_value=node,
-            node_index=index,
-            snap_delta=node - float(leg.at),
-            amplitude=amplitude,
-            post=post,
-        ))
-    return outcomes
 
 
 def wave_to_json(psi: WaveFunction1D) -> str:

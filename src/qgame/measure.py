@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import PROB_EPS
-from .errors import ImpossibleBranchError, ValidationError
+from .errors import ValidationError
 from .gates import Observable
 from .states import DensityOp, Operator, QState, matfun_hermitian
 
@@ -90,18 +90,6 @@ class Branch:
         return tuple((1 - sign) // 2 for sign in self.signs)
 
 
-def project_outcome(state: QState, obs: Observable, targets: Sequence[int], sign: int) -> tuple[float, QState]:
-    """Probability and post-state of one outcome; error if it cannot occur."""
-    wires = _check_wires(targets, state.n_qubits, obs.n_qubits)
-    projected = apply_matrix(state.amplitudes, obs.projector(sign), wires, state.n_qubits)
-    prob = float(np.vdot(projected, projected).real)
-    if prob < PROB_EPS:
-        raise ImpossibleBranchError(
-            f"outcome {sign:+d} of {obs.label} on wires {wires} has probability {prob:.3e}"
-        )
-    return prob, QState(projected / np.sqrt(prob))
-
-
 def measure(state: QState, obs: Observable, targets: Sequence[int], mode: str = "enumerate",
             rng: np.random.Generator | None = None):
     """Measure a binary observable on the chosen wires.
@@ -130,18 +118,6 @@ def measure(state: QState, obs: Observable, targets: Sequence[int], mode: str = 
         pick = int(rng.choice(len(branches), p=probs / probs.sum()))
         return branches[pick]
     raise ValidationError(f"mode must be 'enumerate' or 'sample', got {mode!r}")
-
-
-def sample_outcomes(state: QState, obs: Observable, targets: Sequence[int],
-                    rng: np.random.Generator, n: int) -> np.ndarray:
-    """Vector of n independent outcome signs for repeated preparations."""
-    if n < 1:
-        raise ValidationError("need at least one draw")
-    branches = measure(state, obs, targets, mode="enumerate")
-    probs = np.array([b.probability for b in branches])
-    signs = np.array([b.outcomes[0][1] for b in branches])
-    idx = rng.choice(len(branches), size=int(n), p=probs / probs.sum())
-    return signs[idx]
 
 
 @dataclass(frozen=True)

@@ -107,22 +107,12 @@ class Operator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def dagger(self) -> "Operator":
-        return Operator(self.matrix.conj().T)
-
     def is_hermitian(self, atol: float = ATOL_ALGEBRA) -> bool:
         return bool(np.allclose(self.matrix, self.matrix.conj().T, atol=atol))
 
     def is_unitary(self, atol: float = ATOL_ALGEBRA) -> bool:
         eye = np.eye(self.dim)
         return bool(np.allclose(self.matrix.conj().T @ self.matrix, eye, atol=atol))
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        return Operator(self.matrix @ other.matrix)
-
-    def conjugate_with(self, u: "Operator") -> "Operator":
-        """u . self . u^dagger, the similarity transform by a unitary."""
-        return Operator(u.matrix @ self.matrix @ u.matrix.conj().T)
 
     def __repr__(self) -> str:
         return f"Operator(dim={self.dim})"
@@ -229,21 +219,3 @@ def random_state(n_qubits: int, rng: np.random.Generator) -> QState:
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return QState(vec, normalize=True)
 
-
-def random_unitary(dim: int, rng: np.random.Generator) -> Operator:
-    """Haar random unitary via QR of a complex Gaussian matrix."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    return Operator(q)
-
-
-def random_hermitian(dim: int, rng: np.random.Generator) -> Operator:
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return Operator((z + z.conj().T) / 2)
-
-
-def random_density(dim: int, rng: np.random.Generator) -> DensityOp:
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = z @ z.conj().T
-    return DensityOp(rho / np.trace(rho).real)

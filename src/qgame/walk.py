@@ -9,12 +9,10 @@ survival probability decays as (3/4)**n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import StepCapError, ValidationError
-from .pauli import LETTERS, PauliTag
+from .pauli import LETTERS
 
 DEFAULT_STEP_CAP = 10_000
 # The batch sampler's trial cap.  It bounds a run's time, not its memory:
@@ -35,49 +33,6 @@ _WINDOW = 8
 _BLOCK = 1 << 15
 
 
-def _as_target(target) -> str:
-    if isinstance(target, PauliTag):
-        if target.n_qubits != 1:
-            raise ValidationError("walk targets are single-letter words")
-        return target.letters[0]
-    if target in LETTERS:
-        return str(target)
-    raise ValidationError(f"unknown walk target {target!r}")
-
-
-@dataclass(frozen=True)
-class WalkResult:
-    """Trace of one walk: the letters drawn and the step count."""
-
-    target: str
-    steps: int
-    trace: tuple[str, ...]
-
-
-def pauli_walk(target, rng: np.random.Generator, *, initial: str = "I",
-               step_cap: int = DEFAULT_STEP_CAP) -> WalkResult:
-    """Draw letters until the accumulated word equals ``target`` mod phase.
-
-    Starting already on target counts as zero steps.  A walk that survives
-    ``step_cap`` draws raises :class:`StepCapError`.
-    """
-    goal = _as_target(target)
-    start = _as_target(initial)
-    if step_cap < 1:
-        raise ValidationError("step cap must be positive")
-    accumulated = PauliTag.single(start)
-    if accumulated.same_mod_phase(PauliTag.single(goal)):
-        return WalkResult(target=goal, steps=0, trace=())
-    trace = []
-    for step in range(1, step_cap + 1):
-        letter = LETTERS[int(rng.integers(4))]
-        trace.append(letter)
-        accumulated = PauliTag.single(letter).compose(accumulated)
-        if accumulated.same_mod_phase(PauliTag.single(goal)):
-            return WalkResult(target=goal, steps=step, trace=tuple(trace))
-    raise StepCapError(f"no hit on {goal!r} within {step_cap} steps", steps=step_cap)
-
-
 def walk_steps_batch(target, rng: np.random.Generator, trials: int, *,
                      step_cap: int = DEFAULT_STEP_CAP) -> np.ndarray:
     """Step-count histogram of many independent walks, drawn with one generator.
@@ -90,7 +45,9 @@ def walk_steps_batch(target, rng: np.random.Generator, trials: int, *,
     running codes of the walks still pending are kept, one byte each, and
     the draws are bounded by one block of ``_BLOCK`` walks.
     """
-    goal_code = _CODE[_as_target(target)]
+    if target not in LETTERS:
+        raise ValidationError(f"unknown walk target {target!r}")
+    goal_code = _CODE[target]
     if not 1 <= trials <= MAX_TRIALS:
         raise ValidationError(f"trials must be from 1 to {MAX_TRIALS}, got {trials}")
     if step_cap < 1:

@@ -1,0 +1,24 @@
+"""Random operators and density matrices for tests."""
+
+import numpy as np
+
+from qgame.states import DensityOp, Operator
+
+
+def random_unitary(dim: int, rng: np.random.Generator) -> Operator:
+    """Haar random unitary via QR of a complex Gaussian matrix."""
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    return Operator(q)
+
+
+def random_hermitian(dim: int, rng: np.random.Generator) -> Operator:
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return Operator((z + z.conj().T) / 2)
+
+
+def random_density(dim: int, rng: np.random.Generator) -> DensityOp:
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = z @ z.conj().T
+    return DensityOp(rho / np.trace(rho).real)

@@ -42,13 +42,15 @@ from qgame.market import (
     wigner,
 )
 from qgame.measure import interface_yes_no
-from qgame.states import QState, fidelity, random_density, random_hermitian
+from qgame.states import QState, fidelity
 from qgame.transfer import (
     mbqc_cnot,
     state_transfer_sigma_h,
     transfer_phase_t,
 )
 from qgame.walk import survival_empirical, survival_model, walk_steps_batch
+
+from random_matrices import random_density, random_hermitian
 
 SEED = 20260822
 

@@ -23,6 +23,8 @@ from qgame.games import (
     qfa_run,
 )
 
+from random_matrices import random_unitary
+
 
 class TestNewcomb:
     @pytest.mark.parametrize("control,breaker,winner", [
@@ -332,8 +334,6 @@ class TestAutomaton:
             QFA(QState.basis(1, 0), {"a": NOT}, tilted)
 
     def test_acceptance_probability_stays_in_range(self):
-        from qgame.states import random_unitary
-
         rng = seeded_rng(17)
         for _ in range(20):
             dim = int(rng.integers(2, 5))

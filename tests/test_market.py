@@ -12,24 +12,19 @@ from qgame import market as market_module
 from qgame import (
     CapacityError,
     GridTruncationError,
-    ImpossibleTransactionError,
     ValidationError,
     seeded_rng,
 )
 from qgame.market import (
     TWO_PI,
-    Buy,
     GridSpec,
-    Sell,
     WaveFunction1D,
     demand_cdf,
     from_momentum,
     make_gaussian_strategy,
-    mix_wigner,
     momentum_density_at,
     supply_cdf,
     to_momentum,
-    transaction_project,
     wigner,
     wigner_summary,
     wigner_to_csv,
@@ -325,82 +320,6 @@ class TestWignerSummary:
         grid = GridSpec(-8.0, 8.0, 2 * market_module.MAX_WIGNER_POINTS)
         with pytest.raises(CapacityError):
             transform(WaveFunction1D.normalized(grid, np.ones(grid.n_points)))
-
-
-class TestMixture:
-    def test_single_component_is_plain_wigner(self):
-        psi = _gaussian()
-        np.testing.assert_allclose(mix_wigner([(1.0, psi)]).values,
-                                   wigner(psi).values, atol=1e-15)
-
-    def test_two_displaced_components_average_pointwise(self):
-        wide = GridSpec(-10.0, 10.0, 512)
-        left = _gaussian(mean=-1.5, grid=wide, center=False)
-        right = _gaussian(mean=1.5, grid=wide, center=False)
-        mixed = mix_wigner([(0.5, left), (0.5, right)])
-        expected = 0.5 * wigner(left).values + 0.5 * wigner(right).values
-        np.testing.assert_allclose(mixed.values, expected, atol=1e-12)
-        assert mixed.normalization() == pytest.approx(1.0, abs=1e-8)
-
-    def test_weight_validation(self):
-        psi = _gaussian()
-        with pytest.raises(ValidationError):
-            mix_wigner([(0.9, psi)])
-        with pytest.raises(ValidationError):
-            mix_wigner([(-0.2, psi), (1.2, psi)])
-        other = make_gaussian_strategy(0.0, 1.0, GridSpec(-8.0, 8.0, 256))
-        with pytest.raises(ValidationError):
-            mix_wigner([(0.5, psi), (0.5, other)])
-
-
-class TestTransactions:
-    def test_buyer_amplitude_is_peak_density_mass(self):
-        psi = _gaussian()
-        leg, = transaction_project([psi], [Buy(at=0.0)])
-        assert leg.side == "buy"
-        assert leg.amplitude == pytest.approx(
-            float(psi.density().max()) * psi.grid.step, abs=1e-12)
-        assert leg.snap_delta == 0.0
-
-    def test_projection_is_idempotent(self):
-        psi = _gaussian()
-        first, = transaction_project([psi], [Buy(at=0.5)])
-        second, = transaction_project([first.post], [Buy(at=0.5)])
-        assert second.amplitude == pytest.approx(1.0, abs=1e-12)
-        first, = transaction_project([psi], [Sell(at=0.5)])
-        second, = transaction_project([first.post], [Sell(at=0.5)])
-        assert second.amplitude == pytest.approx(1.0, abs=1e-12)
-
-    def test_off_node_request_snaps_with_reported_delta(self):
-        psi = _gaussian()
-        leg, = transaction_project([psi], [Buy(at=0.01)])
-        assert leg.node_value == pytest.approx(0.0, abs=1e-12)
-        assert leg.snap_delta == pytest.approx(-0.01, abs=1e-12)
-        assert abs(leg.snap_delta) <= psi.grid.step / 2
-
-    def test_seller_post_is_a_plane_wave(self):
-        psi = _gaussian()
-        leg, = transaction_project([psi], [Sell(at=0.0)])
-        magnitudes = np.abs(leg.post.samples)
-        np.testing.assert_allclose(magnitudes, magnitudes[0], atol=1e-12)
-
-    def test_symmetric_pair_amplitudes_match(self):
-        n = 256
-        half = math.sqrt(2 * math.pi * n) / 2
-        psi = make_gaussian_strategy(0.0, 1.0, GridSpec(-half, half, n))
-        buy_leg, sell_leg = transaction_project(
-            [psi, psi], [Buy(at=0.0), Sell(at=0.0)])
-        assert buy_leg.amplitude == pytest.approx(sell_leg.amplitude, abs=1e-10)
-
-    def test_empty_region_is_impossible(self):
-        psi = _gaussian(spread=0.05, grid=GridSpec(-8.0, 8.0, 1024))
-        with pytest.raises(ImpossibleTransactionError):
-            transaction_project([psi], [Buy(at=4.0)])
-
-    def test_division_must_cover_traders(self):
-        psi = _gaussian()
-        with pytest.raises(ValidationError):
-            transaction_project([psi, psi], [Buy(at=0.0)])
 
 
 class TestSerialization:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import qgame
 from qgame import (
     CapacityError,
     DensityOp,
@@ -14,7 +15,16 @@ from qgame import (
     matfun_hermitian,
     tensor,
 )
-from qgame.states import random_density, random_hermitian, random_state, random_unitary
+from qgame.states import random_state
+
+from random_matrices import random_density, random_hermitian, random_unitary
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in qgame.__all__ if not hasattr(qgame, name)] == []
+    namespace = {}
+    exec("from qgame import *", namespace)
+    assert set(qgame.__all__) <= namespace.keys()
 
 
 def test_basis_state_indexing_puts_qubit_zero_on_the_high_bit():

@@ -7,11 +7,10 @@ import pytest
 
 from qgame import StepCapError, ValidationError
 from qgame import walk as walk_module
-from qgame.pauli import PauliTag
+from qgame.pauli import LETTERS, PauliTag
 from qgame.walk import (
     DEFAULT_STEP_CAP,
     MAX_TRIALS,
-    pauli_walk,
     survival_empirical,
     survival_model,
     walk_steps_batch,
@@ -28,6 +27,16 @@ def batch_counts():
 
 def _mean_steps(counts):
     return float(np.arange(counts.size) @ counts) / counts.sum()
+
+
+def _reference_steps(target, rng):
+    """Steps of one walk that composes a uniform letter per draw until it
+    equals the target mod phase."""
+    goal, word, steps = PauliTag.single(target), PauliTag.single("I"), 0
+    while not word.same_mod_phase(goal):
+        word = PauliTag.single(LETTERS[int(rng.integers(4))]).compose(word)
+        steps += 1
+    return steps
 
 
 def test_histogram_counts_every_walk_once(batch_counts):
@@ -60,46 +69,24 @@ def test_survival_curve_tracks_three_quarters_power(batch_counts):
 
 
 def test_walking_to_identity_takes_no_steps():
-    rng = np.random.default_rng(1)
-    result = pauli_walk("I", rng)
-    assert result.steps == 0 and result.trace == ()
-    counts = walk_steps_batch("I", rng, 100)
+    counts = walk_steps_batch("I", np.random.default_rng(1), 100)
     assert counts[0] == 100 and not counts[1:].any()
-    started_there = pauli_walk("X''", rng, initial="X''")
-    assert started_there.steps == 0
-
-
-def test_single_walk_trace_composes_to_the_target():
-    rng = np.random.default_rng(77)
-    for target in ("X", "X'", "X''"):
-        result = pauli_walk(target, rng)
-        accumulated = PauliTag.single("I")
-        for letter in result.trace:
-            accumulated = PauliTag.single(letter).compose(accumulated)
-        assert accumulated.same_mod_phase(PauliTag.single(target))
-        assert result.steps == len(result.trace)
 
 
 def test_single_and_batch_walkers_agree_in_distribution():
     rng = np.random.default_rng(11)
-    singles = np.array([pauli_walk("X", rng).steps for _ in range(4000)])
+    singles = np.array([_reference_steps("X", rng) for _ in range(4000)])
     batch = walk_steps_batch("X", np.random.default_rng(12), 4000)
     # Same geometric law: compare means within joint 4-sigma.
     sigma = np.sqrt(12.0 / 4000)
     assert abs(singles.mean() - _mean_steps(batch)) < 4 * sigma * np.sqrt(2)
 
 
-def test_step_cap_raises_a_structured_error():
-    # Seed 2 opens with letter code 3, so a cap of one step cannot reach X.
-    with pytest.raises(StepCapError) as excinfo:
-        pauli_walk("X", np.random.default_rng(2), step_cap=1)
-    assert excinfo.value.steps == 1
-
-
 def test_batch_step_cap_raises_when_exhausted():
-    with pytest.raises(StepCapError):
+    with pytest.raises(StepCapError) as excinfo:
         # Cap of 1 with many trials: some walk always needs a second draw.
         walk_steps_batch("X", np.random.default_rng(3), 1000, step_cap=1)
+    assert excinfo.value.steps == 1
 
 
 def _batch_with_block(monkeypatch, block, window, step_cap):
@@ -203,11 +190,7 @@ def test_batch_memory_does_not_grow_with_trials():
 def test_bad_targets_and_caps_are_rejected():
     rng = np.random.default_rng(4)
     with pytest.raises(ValidationError):
-        pauli_walk("Z", rng)
-    with pytest.raises(ValidationError):
-        pauli_walk(PauliTag(("X", "X")), rng)
-    with pytest.raises(ValidationError):
-        pauli_walk("X", rng, step_cap=0)
+        walk_steps_batch("Z", rng, 10)
     with pytest.raises(ValidationError):
         walk_steps_batch("X", rng, 0)
     with pytest.raises(ValidationError):
