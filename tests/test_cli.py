@@ -404,7 +404,12 @@ def test_negative_seed_is_refused_by_name(capsys, argv):
     ["newcomb", "--trials", "5"],
     ["market", GAUSSIAN, "--seed", "3"],
     ["qfa", AUTOMATON, "--seed", "3"],
-], ids=lambda argv: argv[0])
+    ["newcomb", "--seed", "3"],
+    ["market", GAUSSIAN, "--trials", "5"],
+    ["qfa", AUTOMATON, "--trials", "5"],
+    ["verify", "--trials", "5"],
+], ids=["newcomb", "market", "qfa",
+        "newcomb-seed", "market-trials", "qfa-trials", "verify-trials"])
 def test_a_flag_the_command_does_not_read_is_refused_by_name(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 2
@@ -472,6 +477,14 @@ class TestDeterminism:
         _, first, _ = run(capsys, argv)
         _, second, _ = run(capsys, argv)
         assert first == second
+
+    def test_market_output_is_seed_free(self, capsys):
+        # A seeded command records its seed; market draws nothing, so its
+        # report names none.
+        _, walk = run_json(capsys, ["walk", "--trials", "100", "--seed", "5"])
+        assert walk["config"]["seed"] == 5
+        _, market = run_json(capsys, ["market", GAUSSIAN])
+        assert "seed" not in market["config"]
 
     def test_out_file_matches_stdout_rendering(self, capsys, tmp_path):
         target = tmp_path / "report.json"

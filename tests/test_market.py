@@ -37,6 +37,12 @@ def _gaussian(spread=1.0, mean=0.0, grid=GRID, center=True):
     return make_gaussian_strategy(mean, spread, grid, center=center)
 
 
+def _kicked_gaussian(kick=2.0):
+    """A unit Gaussian with the complex phase exp(i kick q)."""
+    psi = _gaussian()
+    return WaveFunction1D(GRID, psi.samples * np.exp(1j * kick * GRID.nodes()))
+
+
 class TestGrid:
     def test_nodes_and_step(self):
         grid = GridSpec(-2.0, 2.0, 64)
@@ -229,6 +235,54 @@ class TestWigner:
         np.testing.assert_allclose(w.marginal_p(), p_density, atol=1e-6)
         assert w.normalization() == pytest.approx(1.0, abs=1e-8)
         assert w.max_imag < 1e-10
+        assert not w.aliased
+
+    def test_displaced_gaussian_is_the_shifted_formula(self):
+        psi = _gaussian(mean=1.0, grid=GridSpec(-10.0, 10.0, 512), center=False)
+        w = wigner(psi)
+        q = w.q_nodes[None, :]
+        p = w.p_nodes[:, None]
+        analytic = (1.0 / math.pi) * np.exp(-((q - 1.0) ** 2) - (p ** 2))
+        assert np.max(np.abs(w.values - analytic)) < 1e-6
+
+    @pytest.mark.parametrize("h_e", [1.0, 4.0 * math.pi])
+    def test_planck_constant_scales_the_p_axis(self, h_e):
+        # W(q, p) = exp(-q^2 - (p / hbar)^2) / (pi hbar) for a unit Gaussian.
+        hbar = h_e / TWO_PI
+        w = wigner(_gaussian(spread=1.0), h_e=h_e)
+        q = w.q_nodes[None, :]
+        p = w.p_nodes[:, None]
+        analytic = np.exp(-(q ** 2) - (p / hbar) ** 2) / (math.pi * hbar)
+        assert np.max(np.abs(w.values - analytic)) < 1e-6 / hbar
+        assert w.normalization() == pytest.approx(1.0, abs=1e-8)
+
+    def test_global_phase_leaves_the_grid_unchanged(self):
+        psi = _kicked_gaussian()
+        turned = WaveFunction1D(psi.grid, psi.samples * np.exp(0.7j))
+        np.testing.assert_allclose(wigner(turned).values, wigner(psi).values,
+                                   rtol=0, atol=1e-14)
+
+    def test_conjugate_wave_mirrors_the_grid_in_p(self):
+        # p node k pairs with node n - k; node 0, at -n/2, has no partner.
+        psi = _kicked_gaussian()
+        mirrored = wigner(WaveFunction1D(psi.grid, np.conj(psi.samples)))
+        w = wigner(psi)
+        np.testing.assert_allclose(w.p_nodes[1:], -w.p_nodes[1:][::-1], atol=1e-12)
+        np.testing.assert_allclose(mirrored.values[1:], w.values[1:][::-1],
+                                   rtol=0, atol=1e-14)
+        assert np.max(np.abs(w.values[1:] - w.values[1:][::-1])) > 0.1
+
+    def test_cat_state_has_negative_fringes(self):
+        # Two separated Gaussians interfere: the grid dips below zero
+        # between them, while its marginal and mass stay exact.
+        grid = GridSpec(-10.0, 10.0, 512)
+        q = grid.nodes()
+        cat = WaveFunction1D.normalized(
+            grid, np.exp(-(q - 2.5) ** 2 / 2) + np.exp(-(q + 2.5) ** 2 / 2))
+        w = wigner(cat)
+        assert w.values.min() < -0.2
+        np.testing.assert_allclose(w.marginal_q(), cat.density(), atol=1e-12)
+        assert w.normalization() == pytest.approx(1.0, abs=1e-8)
         assert not w.aliased
 
     def test_gaussian_positivity_canary(self):

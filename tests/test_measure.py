@@ -156,6 +156,25 @@ def test_sample_mode_returns_single_branches_deterministically():
     assert branch.probability == pytest.approx(0.5, abs=1e-12)
 
 
+def test_sampled_branch_is_one_of_the_enumerated_branches():
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        state = random_state(2, rng)
+        enumerated = {b.outcomes: b for b in measure(state, OBS_X, [1])}
+        branch = measure(state, OBS_X, [1], mode="sample", rng=rng)
+        match = enumerated[branch.outcomes]
+        assert branch.probability == match.probability
+        np.testing.assert_array_equal(branch.state.amplitudes, match.state.amplitudes)
+
+
+def test_sample_mode_needs_an_rng_and_a_known_mode():
+    state = QState([0.8, 0.6])
+    with pytest.raises(ValidationError, match="rng"):
+        measure(state, OBS_X, [0], mode="sample")
+    with pytest.raises(ValidationError, match="mode"):
+        measure(state, OBS_X, [0], mode="draw", rng=np.random.default_rng(0))
+
+
 def test_target_wire_validation():
     state = QState.zero(2)
     with pytest.raises(ValidationError):

@@ -82,6 +82,16 @@ def test_single_and_batch_walkers_agree_in_distribution():
     assert abs(singles.mean() - _mean_steps(batch)) < 4 * sigma * np.sqrt(2)
 
 
+def test_step_cap_raises_a_structured_error():
+    # Seed 2's first letter is not X, so a single walk capped at one step
+    # misses; seed 1's first letter is X.
+    with pytest.raises(StepCapError) as excinfo:
+        walk_steps_batch("X", np.random.default_rng(2), 1, step_cap=1)
+    assert excinfo.value.steps == 1
+    counts = walk_steps_batch("X", np.random.default_rng(1), 1, step_cap=1)
+    assert counts.tolist() == [0, 1]
+
+
 def test_batch_step_cap_raises_when_exhausted():
     with pytest.raises(StepCapError) as excinfo:
         # Cap of 1 with many trials: some walk always needs a second draw.
