@@ -5,8 +5,11 @@ to standard output or the ``--out`` file.
 Sampling commands derive all randomness from one ``--seed`` through
 sequential stream counters (seed stays the first entropy word, the
 sub-task counter the second), so a fixed seed yields byte-identical
-output no matter how the work is scheduled.  Wall-clock time is only
-recorded under ``--timing`` since it would break that guarantee.
+output no matter how the work is scheduled.  ``verify`` draws nothing at
+random: it still accepts ``--seed`` and records it in its config, so
+existing invocations keep working, but no check reads it.  Wall-clock
+time is only recorded under ``--timing`` since it would break that
+guarantee.
 
 Exit codes: 0 when every check passes, 1 when any check fails, 2 for
 usage errors, unreadable input files and a report that could not be
@@ -66,7 +69,7 @@ def cmd_verify(args) -> Report:
     gates = GateSet()
     if args.corrupt:
         gates = GateSet(hadamard=H * np.exp(1j * args.corrupt))
-    records = verify_universality(gates, seed=args.seed)
+    records = verify_universality(gates)
     if args.only is not None:
         known = {r.name for r in records}
         if args.only not in known:

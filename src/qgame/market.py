@@ -341,7 +341,7 @@ def _column_blocks(psi: WaveFunction1D, h_e: float) -> Iterator[tuple]:
     grid = psi.grid
     n = grid.n_points
     vec = psi.samples
-    scale = (2.0 * grid.step / h_e) * n
+    scale = 2.0 * grid.step / h_e
     for start in range(0, n, _BLOCK):
         cols = np.arange(start, min(start + _BLOCK, n))
         # Column j's live shifts are |m| <= min(j, n-1-j); shift m is folded
@@ -356,7 +356,7 @@ def _column_blocks(psi: WaveFunction1D, h_e: float) -> Iterator[tuple]:
         block[:, :top + 1] = products[:, top:]
         block[:, n - top:] = products[:, :top]
         block[:, 1::2] *= -1.0
-        np.fft.ifft(block, axis=1, out=block)
+        np.fft.fft(block, axis=1, out=block)
         block *= scale
         yield start, block.real.T, np.max(np.abs(block.imag))
 

@@ -84,11 +84,6 @@ class Branch:
     def signs(self) -> tuple[int, ...]:
         return tuple(sign for _, sign in self.outcomes)
 
-    @property
-    def bits(self) -> tuple[int, ...]:
-        """Reporting convention: outcome +1 is bit 0, outcome -1 is bit 1."""
-        return tuple((1 - sign) // 2 for sign in self.signs)
-
 
 def measure(state: QState, obs: Observable, targets: Sequence[int], mode: str = "enumerate",
             rng: np.random.Generator | None = None):

@@ -99,9 +99,6 @@ class PauliTag:
     def same_mod_phase(self, other: "PauliTag") -> bool:
         return self.letters == other.letters
 
-    def is_identity_mod_phase(self) -> bool:
-        return all(letter == "I" for letter in self.letters)
-
     def matrix(self) -> np.ndarray:
         out = np.array([[1.0 + 0.0j]])
         for letter in self.letters:

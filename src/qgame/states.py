@@ -110,10 +110,6 @@ class Operator:
     def is_hermitian(self, atol: float = ATOL_ALGEBRA) -> bool:
         return bool(np.allclose(self.matrix, self.matrix.conj().T, atol=atol))
 
-    def is_unitary(self, atol: float = ATOL_ALGEBRA) -> bool:
-        eye = np.eye(self.dim)
-        return bool(np.allclose(self.matrix.conj().T @ self.matrix, eye, atol=atol))
-
     def __repr__(self) -> str:
         return f"Operator(dim={self.dim})"
 
@@ -140,11 +136,6 @@ class DensityOp:
         if eigs.min() < -atol:
             raise ValidationError(f"density matrix has negative eigenvalue {eigs.min()}")
         self.matrix = mat
-
-    @classmethod
-    def from_state(cls, state: QState) -> "DensityOp":
-        vec = state.amplitudes
-        return cls(np.outer(vec, vec.conj()))
 
     @property
     def dim(self) -> int:
@@ -187,35 +178,17 @@ def equal_up_to_global_phase(a, b, atol: float = ATOL_CIRCUIT):
     y = b.amplitudes if isinstance(b, QState) else (b.matrix if isinstance(b, Operator) else np.asarray(b, dtype=complex))
     if x.shape != y.shape:
         return False, None
-    ok, phase = equal_up_to_global_phase_by_column(x.reshape(-1, 1), y.reshape(-1, 1), atol)
-    return (True, complex(phase[0])) if ok[0] else (False, None)
-
-
-def equal_up_to_global_phase_by_column(x: np.ndarray, y: np.ndarray, atol: float = ATOL_CIRCUIT):
-    """:func:`equal_up_to_global_phase` for each column pair of two ``(d, k)`` blocks.
-
-    Returns ``(flags, phases)``, two length-k arrays; ``y[:, j] ~ phases[j] *
-    x[:, j]`` where ``flags[j]`` is true, and ``phases[j]`` means nothing
-    elsewhere.
-    """
-    overlap = np.einsum("ij,ij->j", x.conj(), y)
-    size = np.abs(overlap)
+    overlap = np.vdot(x, y)
+    size = abs(overlap)
     # Orthogonal or one side is zero: no phase can align them unless both vanish.
-    orthogonal = size < atol * np.maximum(1.0, np.einsum("ij,ij->j", x.conj(), x).real)
-    vanish = np.all(np.isclose(x, 0, atol=atol) & np.isclose(y, 0, atol=atol), axis=0)
-    phase = np.where(orthogonal, 1.0, overlap / np.where(orthogonal, 1.0, size))
-    close = np.all(np.isclose(y, phase * x, atol=atol), axis=0)
-    return np.where(orthogonal, vanish, close), phase
+    if size < atol * max(1.0, float(np.vdot(x, x).real)):
+        vanish = np.allclose(x, 0, atol=atol) and np.allclose(y, 0, atol=atol)
+        return (True, 1.0 + 0.0j) if vanish else (False, None)
+    phase = complex(overlap / size)
+    return (True, phase) if np.allclose(y, phase * x, atol=atol) else (False, None)
 
 
 def fidelity(a: QState, b: QState) -> float:
     """|<a|b>|^2 for pure states."""
     return float(abs(a.inner(b)) ** 2)
-
-
-def random_state(n_qubits: int, rng: np.random.Generator) -> QState:
-    """Haar-ish random pure state from a complex Gaussian draw."""
-    dim = 2**n_qubits
-    vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return QState(vec, normalize=True)
 

@@ -16,9 +16,11 @@ chain and the gates it reads, so it is computed once per gate set and cached,
 each branch's expected map (Pauli word) x (target gate) with it.  Because each
 branch is linear, the runner takes a block of registers as the columns of one
 array: the public entry points pass one column, while the byproduct tables
-and the verify ledger pass every input at once.  All live branches ride in
-that one array as column groups, so a chain costs one kernel call per gate
-and one per outcome sign at each measurement, however many branches it has.
+pass the basis inputs, so each branch comes out as its map.  All live
+branches ride in that one array as column groups, so a chain costs one kernel
+call per gate and one per outcome sign at each measurement, however many
+branches it has.  The verify ledger checks those maps as operator identities,
+so no row depends on sampled inputs.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .gates import (CNOT, DEFAULT_GATES, I2, OBS_DIAG, OBS_X, OBS_X_MINUS_SECOND
 from .measure import Branch, apply_matrix, partial_inner
 from .pauli import PauliTag, match_pauli_word, tag_from_scalar
 from .report import CheckRecord
-from .states import QState, equal_up_to_global_phase_by_column, random_state
+from .states import QState
 
 _DISCARD_MASS_ATOL = 1e-12
 
@@ -412,14 +414,6 @@ def _implicit_steps(wire: int, anc: int) -> tuple:
     return _m(OBS_X, anc), _m(_XZ, anc, wire)
 
 
-def implicit_readout_law(state: QState, wire: int, anc: int) -> dict[int, float]:
-    """Outcome law of the implicit readout, keyed by the derived sign."""
-    law = {+1: 0.0, -1: 0.0}
-    for res in implicit_readout(state, wire, anc):
-        law[res.derived_sign] += res.probability
-    return law
-
-
 def measure_composite(state: QState, pair: tuple[int, int], kind: str,
                       mode: str = "enumerate", rng=None, *, gates: GateSet = DEFAULT_GATES):
     """Measure a same-letter two-wire word through its flip/readout realization.
@@ -440,28 +434,14 @@ def _composite_steps(pair: tuple[int, int], kind: str, gates: GateSet) -> tuple:
     return link, MeasureStep(_XZ, tuple(pair)), link
 
 
-def _transfer_laws(swapped: bool = False) -> list[tuple[PauliTag, float]]:
-    """(byproduct, probability) per default-gate transfer branch; each map is a
-    scaled unitary, so the probability does not depend on the input."""
-    table = _byproducts("transfer_swapped" if swapped else "transfer", DEFAULT_GATES)
-    return [(row.tag, float(np.vdot(row.branch_map[:, 0], row.branch_map[:, 0]).real))
-            for row in table.values()]
-
-
 def transfer_byproduct_distribution(*, swapped: bool = False) -> dict[str, float]:
-    """Byproduct law of a single transfer, from exhaustive branch enumeration."""
+    """Byproduct law of a single default-gate transfer, from exhaustive branch
+    enumeration; each map is a scaled unitary, so the law does not depend on
+    the input."""
     law: dict[str, float] = {}
-    for tag, prob in _transfer_laws(swapped):
-        law[tag.letters[0]] = law.get(tag.letters[0], 0.0) + prob
-    return law
-
-
-def pair_byproduct_distribution() -> dict[str, float]:
-    """Law of the composed byproduct word after two successive transfers."""
-    law: dict[str, float] = {}
-    for (tag1, p1), (tag2, p2) in itertools.product(_transfer_laws(), repeat=2):
-        key = tag2.compose(tag1.conjugated_by_h()).mod_phase().letters[0]
-        law[key] = law.get(key, 0.0) + p1 * p2
+    for row in _byproducts("transfer_swapped" if swapped else "transfer", DEFAULT_GATES).values():
+        prob = float(np.vdot(row.branch_map[:, 0], row.branch_map[:, 0]).real)
+        law[row.tag.letters[0]] = law.get(row.tag.letters[0], 0.0) + prob
     return law
 
 
@@ -478,87 +458,55 @@ def _guarded(name: str, fn, tol: float, detail: str) -> CheckRecord:
     return CheckRecord(name, "pass" if deviation <= tol else "fail", deviation, tol, detail)
 
 
-def _stack(states) -> np.ndarray:
-    """The states' amplitudes as the columns of one block."""
-    return np.stack([psi.amplitudes for psi in states], axis=1)
+def _chain_deviation(name: str, gates: GateSet) -> float:
+    """Worst branch misalignment with its expected map, or the completeness gap.
 
-
-def _unit_columns(block: np.ndarray) -> np.ndarray:
-    """Branch states from the runner's columns, each scaled to unit norm; zero
-    columns stay zero.  Like a QState, they refuse NaN and infinity."""
-    if not np.all(np.isfinite(block)):
-        raise ValidationError("amplitudes contain NaN or infinity")
-    norm = np.linalg.norm(block, axis=0)
-    return block / np.where(norm > 0, norm, 1.0)
-
-
-def _chain_deviation(name: str, gates: GateSet, inputs) -> float:
-    """Worst branch infidelity or lost mass of a chain over all inputs at once.
-
-    The inputs are the columns of one block through the runner, and every
-    branch is compared with its cached expected map in one pass over the
-    runner's stacked columns.  As in a run of one input after another, the
-    lowest input whose run faults or whose branch misses the target decides
-    the row: a fault raises, a miss is 1.0.
+    Each branch map M must be a multiple of its expected map E = (Pauli
+    byproduct) x (target): 1 - |<E, M>| / (|M| |E|), Frobenius, is zero
+    exactly then.  Together the branches must keep every input's mass:
+    sum M^dag M = I.  A chain that kills every branch has the full gap
+    ||0 - I|| = 1.  Kept branches and invertible targets make no map zero.
+    np.max keeps a NaN term, so an overflowing gate fails the row.
     """
-    chain = _CHAINS[name]
-    table = _byproducts(name, gates)
-    psi = _stack(inputs)
-    stack, fault = chain.replay(vars(gates), psi)
-    dim, branches, k = stack.amps.shape
-    live = stack.mass.reshape(-1) > 0
-    state = _unit_columns(stack.amps.reshape(dim, -1))
-    maps = np.reshape([table[signs].expected for signs in stack.signs], (branches, dim, dim))
-    expect = maps @ psi
-    expect = expect / np.linalg.norm(expect, axis=1, keepdims=True)
-    expect = expect.transpose(1, 0, 2).reshape(dim, -1)
-    same, _ = equal_up_to_global_phase_by_column(state, expect, atol=1e-8)
-    missed = (live & ~same).reshape(branches, k).any(axis=0)
-    overlap = np.abs(np.einsum("ij,ij->j", state.conj(), expect))
-    worst = np.where(live, 1.0 - overlap, 0.0).reshape(branches, k).max(axis=0, initial=0.0)
-    total = stack.mass.sum(axis=0)
-    (misses,) = np.nonzero(missed)
-    miss = int(misses[0]) if misses.size else k
-    if fault is not None and fault[0] <= miss:
-        raise fault[1]
-    if misses.size:
-        return 1.0
-    return float(max(worst.max(), np.abs(total - 1.0).max()))
+    dim = 2 ** len(_CHAINS[name].input_wires)
+    rows = _byproducts(name, gates).values()
+    got, want = (np.reshape([getattr(row, f) for row in rows], (-1, dim, dim))
+                 for f in ("branch_map", "expected"))
+    kept = np.einsum("bij,bik->jk", got.conj(), got)
+    # Each map is scaled by its largest entry first, so that a tiny or huge
+    # gate neither underflows nor overflows in the norms.
+    got, want = (x / np.abs(x).max(axis=(1, 2), keepdims=True, initial=0.0) for x in (got, want))
+    cosine = np.abs(np.einsum("bij,bij->b", want.conj(), got)) / (
+        np.linalg.norm(got, axis=(1, 2)) * np.linalg.norm(want, axis=(1, 2)))
+    return float(np.max([_gap(kept, np.eye(dim)), *(1.0 - cosine)]))
 
 
-def _implicit_deviation(inputs) -> float:
-    """Largest gap between the implicit readout's law and the direct one."""
-    psi = _stack(inputs)
-    paths, fault = _run_chain(np.kron(psi, [[1.0], [0.0]]), 2, _implicit_steps(0, 1),
+def _implicit_deviation() -> float:
+    """Largest gap between each derived sign's effect sum M^dag M and the
+    direct readout projector."""
+    paths, fault = _run_chain(np.kron(np.eye(2), [[1.0], [0.0]]), 2, _implicit_steps(0, 1),
                               "enumerate", None, (1, 0))
     if fault is not None:
         raise fault[1]
-    law = {+1: np.zeros(psi.shape[1]), -1: np.zeros(psi.shape[1])}
-    for signs, mass, _ in paths:
-        law[signs[0] * signs[1]] += mass
-    p_plus = _masses(OBS_X_PRIME.proj_plus @ psi)
-    return float(max(np.abs(law[+1] - p_plus).max(), np.abs(law[-1] - (1 - p_plus)).max()))
+    effect = {+1: np.zeros((2, 2), dtype=complex), -1: np.zeros((2, 2), dtype=complex)}
+    for signs, _, v in paths:
+        effect[signs[0] * signs[1]] += v.conj().T @ v
+    return max(_gap(effect[sign], OBS_X_PRIME.projector(sign)) for sign in (+1, -1))
 
 
-def _composite_deviation(kind: str, direct, gates: GateSet, pair_inputs) -> float:
-    """Largest probability gap between the linked and the direct measurement of a
-    same-letter word; 1.0 when an input realizes other outcomes or states."""
-    psi = _stack(pair_inputs)
-    via, ref = ({signs: (mass, v) for signs, mass, v in
-                 _run_chain(psi, 2, steps, "enumerate", None)[0]}
-                for steps in (_composite_steps((0, 1), kind, gates),
-                              (MeasureStep(direct, (0, 1)),)))
-    absent = (np.zeros(psi.shape[1]), np.zeros_like(psi))
-    worst = np.zeros(psi.shape[1])
-    for signs in via.keys() | ref.keys():
-        (mass, v), (ref_mass, ref_v) = via.get(signs, absent), ref.get(signs, absent)
-        live = mass > 0
-        same, _ = equal_up_to_global_phase_by_column(_unit_columns(v), _unit_columns(ref_v),
-                                                     atol=1e-8)
-        if np.any(live != (ref_mass > 0)) or not same[live].all():
-            return 1.0
-        worst = np.maximum(worst, np.abs(mass - ref_mass))
-    return float(worst.max())
+def _composite_deviation(kind: str, direct: Observable, gates: GateSet) -> float:
+    """Largest gap between the linked map of each sign and the direct projector,
+    up to one global phase; a missing sign is a zero map."""
+    linked = {signs[0]: v for signs, _, v in
+              _run_chain(np.eye(4), 2, _composite_steps((0, 1), kind, gates), "enumerate",
+                         None)[0]}
+    gaps = []
+    for sign in (+1, -1):
+        proj = direct.projector(sign)
+        got = linked.get(sign, np.zeros_like(proj))
+        overlap = np.vdot(proj, got)
+        gaps.append(_gap(got, (overlap / abs(overlap) if overlap else 1.0) * proj))
+    return float(np.max(gaps))  # keeps a NaN gap from an overflowing gate
 
 
 def _algebra_deviation(gates: GateSet) -> float:
@@ -585,20 +533,18 @@ def _algebra_row(gate_bytes: tuple[bytes, ...]) -> float:
     return worst
 
 
-def verify_universality(gates: GateSet = DEFAULT_GATES, *, n_random: int = 25,
-                        seed: int = 0) -> list[CheckRecord]:
+def verify_universality(gates: GateSet = DEFAULT_GATES) -> list[CheckRecord]:
     """Run the whole identity and synthesis checklist and report each result.
 
     Covers the literal gate identities, the conjugation identities, every
-    measurement-driven construction against its target over random inputs,
-    the implicit readout, the composite words, and the exact byproduct
-    algebra.  The byproduct laws are recorded as informational entries.
+    measurement-driven construction against its target, the implicit
+    readout, the composite words, and the exact byproduct algebra.  The
+    synthesis rows compare branch maps with operators, so the ledger draws
+    nothing at random.  The byproduct laws are recorded as informational
+    entries.
     """
     h, n, t = (functools.partial(_finite_gate, gates, field)
                for field in ("hadamard", "not_gate", "phase_t"))
-    rng = np.random.default_rng(seed)
-    inputs = [random_state(1, rng) for _ in range(n_random)]
-    pair_inputs = [random_state(2, rng) for _ in range(max(n_random // 2, 4))]
     rows = [
         ("hnh", lambda: _gap(h() @ n() @ h(), np.diag([-1j, 1j])), ATOL_ALGEBRA,
          "literal switch-flip-switch product equals the diagonal phase pair"),
@@ -617,13 +563,12 @@ def verify_universality(gates: GateSet = DEFAULT_GATES, *, n_random: int = 25,
         ("involutions", lambda: max(_gap(o.matrix @ o.matrix, np.eye(2)) for o in (
             OBS_X, OBS_X_PRIME, OBS_X_SECOND, OBS_DIAG, OBS_X_MINUS_SECOND)),
          ATOL_ALGEBRA, "every named observable squares to identity"),
-        *((name, functools.partial(_chain_deviation, name, gates,
-                                   pair_inputs if len(chain.input_wires) == 2 else inputs),
-           ATOL_CIRCUIT, chain.detail) for name, chain in _CHAINS.items()),
-        ("implicit_xprime", lambda: _implicit_deviation(inputs), ATOL_ALGEBRA,
+        *((name, functools.partial(_chain_deviation, name, gates), ATOL_CIRCUIT, chain.detail)
+          for name, chain in _CHAINS.items()),
+        ("implicit_xprime", _implicit_deviation, ATOL_ALGEBRA,
          "ancilla-correlation scheme reproduces the readout law"),
         *((f"composite_{kind}",
-           functools.partial(_composite_deviation, kind, direct, gates, pair_inputs),
+           functools.partial(_composite_deviation, kind, direct, gates),
            ATOL_CIRCUIT, f"linked realization of the {kind} word matches the direct measurement")
           for kind, direct in (("xx", _XX), ("zz", _ZZ))),
         ("byproduct_algebra", lambda: _algebra_deviation(gates), ATOL_CIRCUIT,

@@ -1,8 +1,15 @@
-"""Random operators and density matrices for tests."""
+"""Random states, operators and density matrices for tests."""
 
 import numpy as np
 
-from qgame.states import DensityOp, Operator
+from qgame.states import DensityOp, Operator, QState
+
+
+def random_state(n_qubits: int, rng: np.random.Generator) -> QState:
+    """Haar-ish random pure state from a complex Gaussian draw."""
+    dim = 2**n_qubits
+    vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return QState(vec, normalize=True)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> Operator:

@@ -113,8 +113,9 @@ class TestExitCodes:
         assert out == ""
 
     def test_bad_qubit_limit_is_a_usage_error(self, capsys, monkeypatch):
+        # newcomb builds registers, so it reads the limit; verify builds none.
         monkeypatch.setenv("QGAME_MAX_QUBITS", "abc")
-        code, out, err = run(capsys, ["verify"])
+        code, out, err = run(capsys, ["newcomb"])
         assert code == 2
         assert "QGAME_MAX_QUBITS" in err
         assert out == ""
@@ -501,6 +502,15 @@ class TestVerifyCommand:
         code, payload = run_json(capsys, ["verify", "--only", "hnh"])
         assert code == 0
         assert [c["name"] for c in payload["checks"]] == ["hnh"]
+
+    @pytest.mark.parametrize("corrupt", ["0", "0.01"])
+    def test_seed_is_recorded_but_reads_no_check(self, capsys, corrupt):
+        # The ledger checks operator identities, so it draws nothing; --seed
+        # is still accepted and echoed in the config.
+        reports = [run_json(capsys, ["verify", "--seed", seed, "--corrupt", corrupt])[1]
+                   for seed in ("0", "7")]
+        assert [r["config"]["seed"] for r in reports] == [0, 7]
+        assert reports[0]["checks"] == reports[1]["checks"]
 
     def test_byproduct_law_table(self, capsys):
         _, payload = run_json(capsys, ["verify", "--only", "hnh"])

@@ -213,8 +213,8 @@ def _row_loop_wigner(psi, h_e):
         jj = j[n - r:r]
         folded[r, n - r:r] = vec[jj + r - n] * np.conj(vec[jj - r + n])
     folded[1::2] *= -1.0
-    np.fft.ifft(folded, axis=0, out=folded)
-    folded *= (2.0 * psi.grid.step / h_e) * n
+    np.fft.fft(folded, axis=0, out=folded)
+    folded *= 2.0 * psi.grid.step / h_e
     return np.ascontiguousarray(folded.real), float(np.max(np.abs(folded.imag)))
 
 
@@ -255,6 +255,18 @@ class TestWigner:
         analytic = np.exp(-(q ** 2) - (p / hbar) ** 2) / (math.pi * hbar)
         assert np.max(np.abs(w.values - analytic)) < 1e-6 / hbar
         assert w.normalization() == pytest.approx(1.0, abs=1e-8)
+
+    def test_kicked_gaussian_marginal_is_the_momentum_density(self):
+        # A complex wave's grid is not symmetric in p: exp(2i q) moves the
+        # momentum to +2, so W = exp(-q^2 - (p - 2)^2) / pi.
+        psi = _kicked_gaussian()
+        w = wigner(psi)
+        np.testing.assert_allclose(w.marginal_p(), momentum_density_at(psi, w.p_nodes),
+                                   atol=1e-6)
+        q = w.q_nodes[None, :]
+        p = w.p_nodes[:, None]
+        analytic = np.exp(-(q ** 2) - (p - 2.0) ** 2) / math.pi
+        assert np.max(np.abs(w.values - analytic)) < 1e-6
 
     def test_global_phase_leaves_the_grid_unchanged(self):
         psi = _kicked_gaussian()
