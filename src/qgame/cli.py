@@ -394,7 +394,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "market tables.")
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=_seed, default=0,
-                      help="base seed for all sampling (default 0)")
+                      help="base seed for sampling (default 0); verify samples "
+                           "nothing and only records it in config")
     trials = argparse.ArgumentParser(add_help=False)
     trials.add_argument("--trials", type=int, default=10_000,
                         help="Monte-Carlo round count (default 10000)")

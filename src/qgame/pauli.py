@@ -5,6 +5,11 @@ together with a power of i.  Composition follows matrix order, so
 ``a.compose(b)`` stands for the product (matrix of a) @ (matrix of b); the
 accumulated phase is kept as an integer exponent mod 4 and never rounded
 through floats.
+
+A letter's index in ``LETTERS`` is its 2-bit code, x bit | z bit << 1, with
+X'' = i X X' (Aaronson and Gottesman, arXiv:quant-ph/0406196).  A word is
+then one x mask and one z mask, wire w at bit w: composition XORs the masks
+and H conjugation swaps them, each with a phase read off the bit counts.
 """
 
 from __future__ import annotations
@@ -20,27 +25,26 @@ from .gates import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 LETTERS = ("I", "X", "X'", "X''")
 
-_LETTER_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": SIGMA_X,
-    "X'": SIGMA_Z,
-    "X''": SIGMA_Y,
-}
+# The letters' matrices, indexed by code.
+_MATRICES = (np.eye(2, dtype=complex), SIGMA_X, SIGMA_Z, SIGMA_Y)
 
-# (left, right) -> (result letter, added power of i), from the products of
-# the underlying matrices: for instance X . X' = -i X''.
-_COMPOSE = {
-    ("I", "I"): ("I", 0), ("I", "X"): ("X", 0), ("I", "X'"): ("X'", 0), ("I", "X''"): ("X''", 0),
-    ("X", "I"): ("X", 0), ("X'", "I"): ("X'", 0), ("X''", "I"): ("X''", 0),
-    ("X", "X"): ("I", 0), ("X'", "X'"): ("I", 0), ("X''", "X''"): ("I", 0),
-    ("X", "X'"): ("X''", 3), ("X'", "X"): ("X''", 1),
-    ("X", "X''"): ("X'", 1), ("X''", "X"): ("X'", 3),
-    ("X'", "X''"): ("X", 3), ("X''", "X'"): ("X", 1),
-}
+# match_pauli_word keeps one stacked word table per width up to this one:
+# 4**4 words of 16 x 16 take 1 MB, twice with their conjugate transposes,
+# and a table grows 16-fold per wire.
+_TABLE_WIDTH = 4
 
-# Conjugation by the Hadamard swaps the flip and readout letters and negates
-# the third one (a sign is two powers of i).
-_H_CONJ = {"I": ("I", 0), "X": ("X'", 0), "X'": ("X", 0), "X''": ("X''", 2)}
+
+def _masks(letters: tuple[str, ...]) -> tuple[int, int]:
+    x = z = 0
+    for wire, letter in enumerate(letters):
+        code = LETTERS.index(letter)
+        x |= (code & 1) << wire
+        z |= (code >> 1) << wire
+    return x, z
+
+
+def _word(x: int, z: int, n: int) -> tuple[str, ...]:
+    return tuple(LETTERS[(x >> wire & 1) | (z >> wire & 1) << 1] for wire in range(n))
 
 
 @dataclass(frozen=True)
@@ -56,53 +60,34 @@ class PauliTag:
                 raise ValidationError(f"unknown Pauli letter {letter!r}")
         object.__setattr__(self, "phase", self.phase % 4)
 
-    @classmethod
-    def identity(cls, n_qubits: int = 1) -> "PauliTag":
-        return cls(("I",) * n_qubits)
-
-    @classmethod
-    def single(cls, letter: str, phase: int = 0) -> "PauliTag":
-        return cls((letter,), phase)
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.letters)
-
     def compose(self, other: "PauliTag") -> "PauliTag":
-        """Matrix-order product self . other."""
-        if other.n_qubits != self.n_qubits:
+        """Matrix-order product self . other.
+
+        With P(x, z) = i**(x&z) X**x X'**z on each wire, moving X'**z1 past
+        X**x2 costs a sign per wire where both bits are set.
+        """
+        n = len(self.letters)
+        if len(other.letters) != n:
             raise ValidationError("cannot compose tags of different widths")
-        phase = self.phase + other.phase
-        letters = []
-        for a, b in zip(self.letters, other.letters):
-            letter, extra = _COMPOSE[(a, b)]
-            letters.append(letter)
-            phase += extra
-        return PauliTag(tuple(letters), phase)
+        (x1, z1), (x2, z2) = _masks(self.letters), _masks(other.letters)
+        x, z = x1 ^ x2, z1 ^ z2
+        phase = (self.phase + other.phase + (x1 & z1).bit_count() + (x2 & z2).bit_count()
+                 + 2 * (z1 & x2).bit_count() - (x & z).bit_count())
+        return PauliTag(_word(x, z, n), phase)
 
     def conjugated_by_h(self) -> "PauliTag":
-        """Image under Hadamard conjugation on every wire."""
-        phase = self.phase
-        letters = []
-        for a in self.letters:
-            letter, extra = _H_CONJ[a]
-            letters.append(letter)
-            phase += extra
-        return PauliTag(tuple(letters), phase)
+        """Image under Hadamard conjugation on every wire: the x and z bits
+        swap, and each X'' changes sign."""
+        x, z = _masks(self.letters)
+        return PauliTag(_word(z, x, len(self.letters)), self.phase + 2 * (x & z).bit_count())
 
     def shifted(self, quarter_turns: int) -> "PauliTag":
         return PauliTag(self.letters, self.phase + quarter_turns)
 
-    def mod_phase(self) -> "PauliTag":
-        return PauliTag(self.letters)
-
-    def same_mod_phase(self, other: "PauliTag") -> bool:
-        return self.letters == other.letters
-
     def matrix(self) -> np.ndarray:
         out = np.array([[1.0 + 0.0j]])
         for letter in self.letters:
-            out = np.kron(out, _LETTER_MATRICES[letter])
+            out = np.kron(out, _MATRICES[LETTERS.index(letter)])
         return (1j**self.phase) * out
 
     @property
@@ -112,41 +97,38 @@ class PauliTag:
         return prefix + word
 
 
-# Word tables are kept up to this width: 4**4 words of 16 x 16 is 1 MB,
-# while wider tables grow 16-fold per wire, so wider words are built lazily.
-_CACHED_WIDTH = 4
-
-
-def _iter_words(n: int):
-    """(letters, matrix, conjugate transpose) of every n-letter word, in order."""
-    for letters in _iter_product(LETTERS, repeat=n):
-        word = PauliTag(letters).matrix()
-        yield letters, word, word.conj().T
-
-
-@functools.lru_cache(maxsize=None)  # called for widths up to _CACHED_WIDTH only
+@functools.lru_cache(maxsize=None)  # called for widths up to _TABLE_WIDTH only
 def _word_table(n: int) -> tuple:
-    return tuple(_iter_words(n))
+    """Every n-letter word in order, their stacked matrices and conjugate transposes."""
+    words = tuple(_iter_product(LETTERS, repeat=n))
+    table = np.stack([PauliTag(letters).matrix() for letters in words])
+    return words, table, table.conj().transpose(0, 2, 1)
 
 
 def match_pauli_word(mat: np.ndarray, atol: float = 1e-10) -> tuple[tuple[str, ...], complex] | None:
     """Identify ``mat`` as scalar * (tensor word of Pauli letters).
 
-    Returns the letters and the complex scalar, or None when no word fits.
-    The scalar is unconstrained here; use :func:`tag_from_scalar` when it is
-    supposed to be a power of i.
+    Returns the letters and the complex scalar, or None when no word fits;
+    when several fit, the first in ``LETTERS`` order wins.  The scalar is
+    unconstrained here; use :func:`tag_from_scalar` when it is supposed to
+    be a power of i.  Words wider than 4 qubits are refused.
     """
     mat = np.asarray(mat, dtype=complex)
     dim = mat.shape[0]
     n = int(dim).bit_length() - 1
     if mat.shape != (dim, dim) or 2**n != dim:
         raise ValidationError(f"matrix shape {mat.shape} is not a qubit operator")
+    if n > _TABLE_WIDTH:
+        raise ValidationError(
+            f"cannot match a {n}-qubit word: the limit is {_TABLE_WIDTH} qubits")
+    words, table, table_h = _word_table(n)
     scale = max(float(np.max(np.abs(mat))), 1e-300)
-    for letters, word, word_h in _word_table(n) if n <= _CACHED_WIDTH else _iter_words(n):
-        coeff = complex(np.trace(word_h @ mat) / dim)
-        if np.max(np.abs(mat - coeff * word)) <= atol * scale:
-            return letters, coeff
-    return None
+    coeffs = np.trace(table_h @ mat, axis1=1, axis2=2) / dim
+    fits = np.max(np.abs(mat - coeffs[:, None, None] * table), axis=(1, 2)) <= atol * scale
+    if not fits.any():
+        return None
+    first = int(np.argmax(fits))
+    return words[first], complex(coeffs[first])
 
 
 def tag_from_scalar(letters: tuple[str, ...], coeff: complex, atol: float = 1e-8) -> tuple[PauliTag, float]:

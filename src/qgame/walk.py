@@ -20,9 +20,6 @@ DEFAULT_STEP_CAP = 10_000
 # a window, about a tenth of the walks.
 MAX_TRIALS = 10_000_000
 
-# Letters as 2-bit codes in LETTERS order: composition mod phase is bitwise XOR.
-_CODE = {letter: code for code, letter in enumerate(LETTERS)}
-
 # The batch sampler draws windows of _WINDOW steps for at most _BLOCK pending
 # walks at a time.  Consecutive block draws continue one generator stream, so
 # the step counts do not depend on _BLOCK, and the draw buffers stay bounded
@@ -40,14 +37,15 @@ def walk_steps_batch(target, rng: np.random.Generator, trials: int, *,
     Entry n of the returned int64 array, of length ``step_cap + 1``, counts
     the walks that hit the target after exactly n steps.  The letter draws
     are honest (each walk composes uniform letters until it hits);
-    composition mod phase reduces to XOR on 2-bit codes, which is what lets
-    the whole batch run as array operations.  Between windows only the
-    running codes of the walks still pending are kept, one byte each, and
-    the draws are bounded by one block of ``_BLOCK`` walks.
+    composition mod phase reduces to XOR on the letters' 2-bit codes, their
+    indices in ``LETTERS``, which is what lets the whole batch run as array
+    operations.  Between windows only the running codes of the walks still
+    pending are kept, one byte each, and the draws are bounded by one block
+    of ``_BLOCK`` walks.
     """
     if target not in LETTERS:
         raise ValidationError(f"unknown walk target {target!r}")
-    goal_code = _CODE[target]
+    goal_code = LETTERS.index(target)
     if not 1 <= trials <= MAX_TRIALS:
         raise ValidationError(f"trials must be from 1 to {MAX_TRIALS}, got {trials}")
     if step_cap < 1:

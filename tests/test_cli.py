@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -440,6 +441,18 @@ _PROBE_PEAK_KB = ("[int(line.split()[1]) for line in open('/proc/self/status') "
                   "if line.startswith('VmHWM:')][0]")
 
 
+def test_every_name_the_benchmark_tracer_patches_exists():
+    # perfbench/tracer.py wraps these attributes by name, so a rename would
+    # otherwise surface only as a crashed traced run.
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [(module, attr) for module, attr, _ in tracer.PATCHES
+               if not hasattr(importlib.import_module(module), attr)]
+    assert tracer.PATCHES and missing == []
+
+
 def test_cli_import_loads_no_scipy():
     probe = ("import qgame.cli, sys; print(any(m == 'scipy' or "
              "m.startswith('scipy.') for m in sys.modules))")
@@ -511,6 +524,13 @@ class TestVerifyCommand:
                    for seed in ("0", "7")]
         assert [r["config"]["seed"] for r in reports] == [0, 7]
         assert reports[0]["checks"] == reports[1]["checks"]
+
+    def test_help_says_the_seed_is_only_recorded(self):
+        subparsers = next(a for a in _build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        text = " ".join(subparsers.choices["verify"].format_help().split())
+        assert "verify samples nothing and only records it in config" in text
+        assert "all sampling" not in text
 
     def test_byproduct_law_table(self, capsys):
         _, payload = run_json(capsys, ["verify", "--only", "hnh"])

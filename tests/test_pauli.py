@@ -15,15 +15,15 @@ from qgame.pauli import LETTERS, PauliTag, match_pauli_word, tag_from_scalar
 @pytest.mark.parametrize("left", LETTERS)
 @pytest.mark.parametrize("right", LETTERS)
 def test_composition_table_matches_matrix_products(left, right):
-    a = PauliTag.single(left)
-    b = PauliTag.single(right)
+    a = PauliTag((left,))
+    b = PauliTag((right,))
     composed = a.compose(b)
     assert np.allclose(composed.matrix(), a.matrix() @ b.matrix(), atol=1e-15)
 
 
 def test_phase_accumulates_mod_four():
-    x = PauliTag.single("X")
-    xp = PauliTag.single("X'")
+    x = PauliTag(("X",))
+    xp = PauliTag(("X'",))
     t = x.compose(xp)  # -i X''
     assert t.letters == ("X''",) and t.phase == 3
     assert t.label == "-i*X''"
@@ -37,7 +37,7 @@ def test_phase_accumulates_mod_four():
 def test_h_conjugation_table_matches_matrix_conjugation(letter):
     from qgame.gates import H
 
-    tag = PauliTag.single(letter)
+    tag = PauliTag((letter,))
     conjugated = tag.conjugated_by_h()
     direct = H @ tag.matrix() @ H.conj().T
     assert np.allclose(conjugated.matrix(), direct, atol=1e-12)
@@ -48,7 +48,7 @@ def test_two_wire_composition():
     b = PauliTag(("X'", "X'"))
     composed = a.compose(b)
     assert np.allclose(composed.matrix(), a.matrix() @ b.matrix(), atol=1e-15)
-    assert composed.same_mod_phase(PauliTag(("X''", "I")))
+    assert composed.letters == ("X''", "I")
 
 
 def test_width_mismatch_is_rejected():
@@ -85,9 +85,15 @@ def test_tag_from_scalar_reads_quarter_turns():
         tag_from_scalar(("X",), np.exp(0.3j))
 
 
-def test_identity_predicates():
-    assert PauliTag(("I", "I"), phase=2).mod_phase() == PauliTag.identity(2)
-    assert PauliTag(("X", "I"), 1).mod_phase() == PauliTag(("X", "I"))
+def test_match_pauli_word_covers_four_wires_and_refuses_five():
+    letters = ("X''", "I", "X'", "X")
+    coeff = -0.75 + 2.5j
+    found = match_pauli_word(coeff * PauliTag(letters).matrix())
+    assert found is not None
+    assert found[0] == letters
+    assert found[1] == pytest.approx(coeff, abs=1e-12)
+    with pytest.raises(ValidationError, match="limit is 4 qubits"):
+        match_pauli_word(np.eye(32))
 
 
 # Property tests over words of width 1 to 3.

@@ -32,9 +32,9 @@ def _mean_steps(counts):
 def _reference_steps(target, rng):
     """Steps of one walk that composes a uniform letter per draw until it
     equals the target mod phase."""
-    goal, word, steps = PauliTag.single(target), PauliTag.single("I"), 0
-    while not word.same_mod_phase(goal):
-        word = PauliTag.single(LETTERS[int(rng.integers(4))]).compose(word)
+    word, steps = PauliTag(("I",)), 0
+    while word.letters != (target,):
+        word = PauliTag((LETTERS[int(rng.integers(4))],)).compose(word)
         steps += 1
     return steps
 
@@ -71,6 +71,14 @@ def test_survival_curve_tracks_three_quarters_power(batch_counts):
 def test_walking_to_identity_takes_no_steps():
     counts = walk_steps_batch("I", np.random.default_rng(1), 100)
     assert counts[0] == 100 and not counts[1:].any()
+
+
+@pytest.mark.parametrize("left", LETTERS)
+@pytest.mark.parametrize("right", LETTERS)
+def test_xor_of_codes_is_tag_composition_mod_phase(left, right):
+    # The batch walker composes running words by XOR on LETTERS indices.
+    composed = PauliTag((left,)).compose(PauliTag((right,)))
+    assert LETTERS[LETTERS.index(left) ^ LETTERS.index(right)] == composed.letters[0]
 
 
 def test_single_and_batch_walkers_agree_in_distribution():
@@ -169,7 +177,7 @@ def test_histogram_is_the_per_trial_walk_binned(monkeypatch, trials, block, wind
     monkeypatch.setattr(walk_module, "_BLOCK", block)
     monkeypatch.setattr(walk_module, "_WINDOW", window)
     rng, reference_rng = np.random.default_rng(99), np.random.default_rng(99)
-    steps, missed = _per_trial_reference(walk_module._CODE["X"], reference_rng,
+    steps, missed = _per_trial_reference(LETTERS.index("X"), reference_rng,
                                          trials, step_cap)
     try:
         counts = walk_steps_batch("X", rng, trials, step_cap=step_cap)
