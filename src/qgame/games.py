@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .gates import DEFAULT_GATES, GateSet
+from .gates import CNOT_ALLIANCE, H, I2, NOT
 from .measure import apply_gate
 from .states import Operator, QState
 
@@ -47,7 +47,7 @@ class NewcombConfig:
                 f"breaker must be one of {_BREAKERS}, got {self.breaker!r}")
 
 
-def newcomb_run(cfg: NewcombConfig, gates: GateSet = DEFAULT_GATES) -> dict[int, float]:
+def newcomb_run(cfg: NewcombConfig) -> dict[int, float]:
     """Exact readout law of the lower wire for the configured circuit.
 
     The plain wiring lets the controlled flip copy the control bit onto the
@@ -58,13 +58,13 @@ def newcomb_run(cfg: NewcombConfig, gates: GateSet = DEFAULT_GATES) -> dict[int,
     """
     state = QState.basis(2, cfg.control << 1)
     if cfg.breaker == "qutrojan":
-        state = apply_gate(state, gates.hadamard, [1])
-        state = apply_gate(state, gates.cnot_alliance, [0, 1])
-        state = apply_gate(state, gates.hadamard, [1])
+        state = apply_gate(state, H, [1])
+        state = apply_gate(state, CNOT_ALLIANCE, [0, 1])
+        state = apply_gate(state, H, [1])
     else:
         if cfg.breaker in ("I", "NOT"):
-            state = apply_gate(state, gates.breaker(cfg.breaker), [1])
-        state = apply_gate(state, gates.cnot_alliance, [0, 1])
+            state = apply_gate(state, I2 if cfg.breaker == "I" else NOT, [1])
+        state = apply_gate(state, CNOT_ALLIANCE, [0, 1])
     return {0: state.prob_of_bit(1, 0), 1: state.prob_of_bit(1, 1)}
 
 
@@ -156,11 +156,11 @@ def gvw_simulate(params: GambleParams, trials: int,
     losses = trials - found - flagged  # the rounds that pay Bob -1
     mean = (found - losses) / trials + params.reward * (flagged / trials)
     if trials > 1:
-        # Centred in units of the largest payoff, so a huge reward cannot overflow.
-        scale = max(1.0, params.reward)
-        spread = sum(n * ((x - mean) / scale) ** 2 for n, x in (
-            (found, 1.0), (losses, -1.0), (flagged, params.reward)))
-        half_width = 4.0 * scale * math.sqrt(spread / (trials - 1)) / math.sqrt(trials)
+        # hypot takes the root of the sum of squares without squaring, so
+        # neither the +-1 payoffs underflow nor a huge reward overflows.
+        spread = math.hypot(*(math.sqrt(n) * (x - mean) for n, x in (
+            (found, 1.0), (losses, -1.0), (flagged, params.reward))))
+        half_width = 4.0 * spread / math.sqrt(trials - 1) / math.sqrt(trials)
     else:
         half_width = float("inf")
     return GambleSample(mean, half_width, trials, counts)

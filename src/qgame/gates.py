@@ -148,15 +148,6 @@ class GateSet:
     not_gate: np.ndarray = field(default_factory=lambda: NOT.copy())
     hadamard: np.ndarray = field(default_factory=lambda: H.copy())
     phase_t: np.ndarray = field(default_factory=lambda: T.copy())
-    cnot_alliance: np.ndarray = field(default_factory=lambda: CNOT_ALLIANCE.copy())
-
-    def breaker(self, name: str) -> np.ndarray:
-        """Circuit-breaker block: the identity wire or the bit flip."""
-        if name == "I":
-            return I2.copy()
-        if name == "NOT":
-            return self.not_gate
-        raise ValidationError(f"breaker must be 'I' or 'NOT', got {name!r}")
 
 
 DEFAULT_GATES = GateSet()

@@ -32,12 +32,10 @@ _EDGE_AMPLITUDE = 1e-12
 _ALIAS_MASS = 1e-8
 MAX_WIGNER_POINTS = 4096
 # The Wigner transform runs _BLOCK q columns at a time, so beside the n x n
-# float grid (or, for a summary, one (n, _LEAF) strip) it holds one
-# (_BLOCK, n) complex block and its gather temporaries, a few MB at 4096
-# points.  The values do not depend on _BLOCK.
+# float grid (none for a summary) it holds one (_BLOCK, n) complex block and
+# its gather temporaries, a few MB at 4096 points.  The grid's values do not
+# depend on _BLOCK; its summed mass may move in the last bit.
 _BLOCK = 32
-# numpy's pairwise summation adds runs of 128 consecutive values as leaves.
-_LEAF = 128
 
 
 @dataclass(frozen=True)
@@ -281,37 +279,24 @@ class WignerGrid:
 
     Rows follow p, columns follow q.  The p lattice is twice as fine as
     the Fourier-dual grid over half its span; that choice makes the
-    q-marginal land exactly on the sampled density.
+    q-marginal land exactly on the sampled density.  ``summary`` holds the
+    reductions taken while the grid was built.
     """
 
     values: np.ndarray
     p_nodes: np.ndarray
     q_nodes: np.ndarray
     h_e: float
-    max_imag: float
-    aliased: bool
-
-    @property
-    def p_step(self) -> float:
-        return _step(self.p_nodes)
-
-    @property
-    def q_step(self) -> float:
-        return _step(self.q_nodes)
+    summary: WignerSummary
 
     def normalization(self) -> float:
-        return float(self.values.sum() * self.p_step * self.q_step)
+        return self.summary.normalization
 
     def marginal_q(self) -> np.ndarray:
-        return self.values.sum(axis=0) * self.p_step
+        return self.values.sum(axis=0) * self.summary.p_step
 
     def marginal_p(self) -> np.ndarray:
-        return self.values.sum(axis=1) * self.q_step
-
-    def summary(self) -> WignerSummary:
-        return WignerSummary(self.normalization(), self.max_imag,
-                             float(self.values.min()), self.p_step, self.q_step,
-                             self.aliased)
+        return self.values.sum(axis=1) * self.summary.q_step
 
     def __iter__(self) -> Iterator[np.ndarray]:
         """Rows of the grid's CSV table, ``[p, *values]`` as one float array
@@ -331,17 +316,22 @@ def _p_nodes(psi: WaveFunction1D, h_e: float) -> np.ndarray:
     return math.pi * (h_e / TWO_PI) * (np.arange(n) - n // 2) / (n * grid.step)
 
 
-def _column_blocks(psi: WaveFunction1D, h_e: float) -> Iterator[tuple]:
-    """The Wigner grid ``_BLOCK`` q columns at a time.
+def _transform(psi: WaveFunction1D, h_e: float, keep_grid: bool) -> tuple:
+    """One pass over the Wigner grid, ``_BLOCK`` q columns at a time.
 
-    Yields ``(start, real, residue)``: ``real`` is the (n, B) real part of
-    columns start .. start + B - 1 and ``residue`` their max |imag|.  Only
-    one block of columns is alive at a time.
+    Returns ``(values, p_nodes, summary)``.  Each block's real part is
+    written into the n x n grid ``values`` only when ``keep_grid``, else
+    ``values`` is None.  The summary adds the blocks' sums in block order
+    and keeps the minimum and the largest |imag|, both exact in any order.
     """
+    p_nodes = _p_nodes(psi, h_e)
     grid = psi.grid
     n = grid.n_points
     vec = psi.samples
     scale = 2.0 * grid.step / h_e
+    values = np.empty((n, n)) if keep_grid else None
+    # np.minimum and np.maximum propagate a NaN like one whole-grid reduction.
+    total, minimum, residue = 0.0, np.inf, 0.0
     for start in range(0, n, _BLOCK):
         cols = np.arange(start, min(start + _BLOCK, n))
         # Column j's live shifts are |m| <= min(j, n-1-j); shift m is folded
@@ -358,7 +348,21 @@ def _column_blocks(psi: WaveFunction1D, h_e: float) -> Iterator[tuple]:
         block[:, 1::2] *= -1.0
         np.fft.fft(block, axis=1, out=block)
         block *= scale
-        yield start, block.real.T, np.max(np.abs(block.imag))
+        real = block.real
+        if values is not None:
+            values[:, start:start + cols.size] = real.T
+        total += real.sum()
+        minimum = np.minimum(minimum, real.min())
+        residue = np.maximum(residue, np.max(np.abs(block.imag)))
+    p_step, q_step = _step(p_nodes), _step(grid.nodes())
+    return values, p_nodes, WignerSummary(
+        normalization=float(total * p_step * q_step),
+        max_imag=float(residue),
+        min_value=float(minimum),
+        p_step=p_step,
+        q_step=q_step,
+        aliased=_boundary_mass(psi) > _ALIAS_MASS,
+    )
 
 
 def wigner(psi: WaveFunction1D, *, h_e: float = TWO_PI) -> WignerGrid:
@@ -368,69 +372,16 @@ def wigner(psi: WaveFunction1D, *, h_e: float = TWO_PI) -> WignerGrid:
     shifted arguments stay on the grid; the transform over m is folded to
     length n and done with one FFT per column.  Columns are transformed
     ``_BLOCK`` at a time, so the only n x n array is the real grid returned.
-    The worst imaginary residue is recorded, and strategies carrying
-    visible mass at the grid edge are flagged as aliased.
+    The grid's summary records the worst imaginary residue and flags
+    strategies carrying visible mass at the grid edge as aliased.
     """
-    p_nodes = _p_nodes(psi, h_e)
-    n = psi.grid.n_points
-    values = np.empty((n, n))
-    residues = []
-    for start, real, residue in _column_blocks(psi, h_e):
-        values[:, start:start + real.shape[1]] = real
-        residues.append(residue)
-    return WignerGrid(
-        values=values,
-        p_nodes=p_nodes,
-        q_nodes=psi.grid.nodes(),
-        h_e=h_e,
-        # np.max over the block maxima propagates a NaN like one whole-grid max.
-        max_imag=float(np.max(residues)),
-        aliased=_boundary_mass(psi) > _ALIAS_MASS,
-    )
+    values, p_nodes, summary = _transform(psi, h_e, keep_grid=True)
+    return WignerGrid(values, p_nodes, psi.grid.nodes(), h_e, summary)
 
 
 def wigner_summary(psi: WaveFunction1D, *, h_e: float = TWO_PI) -> WignerSummary:
-    """``wigner(psi, h_e=h_e).summary()``, bit for bit, without the n x n grid.
-
-    numpy sums a contiguous n x n grid pairwise down to leaves of
-    ``_LEAF`` consecutive values, each a ``_LEAF``-column segment of one p
-    row.  The columns are gathered into one (n, _LEAF) strip at a time,
-    each strip's row segments are summed as those leaves, and the leaves are
-    combined in row-major order, so the total is ``values.sum()`` exactly.
-    The minimum and the largest imaginary residue are exact in any order.
-    """
-    n = psi.grid.n_points
-    if n < _LEAF:  # a leaf spans more than one p row; the grid is small
-        return wigner(psi, h_e=h_e).summary()
-    p_nodes = _p_nodes(psi, h_e)
-    strip = np.empty((n, _LEAF))
-    leaves = np.empty((n, n // _LEAF))
-    minima, residues = [], []
-    for start, real, residue in _column_blocks(psi, h_e):
-        residues.append(residue)
-        done = 0
-        while done < real.shape[1]:
-            at = (start + done) % _LEAF
-            take = min(real.shape[1] - done, _LEAF - at)
-            strip[:, at:at + take] = real[:, done:done + take]
-            done += take
-            if at + take == _LEAF:
-                leaves[:, (start + done - 1) // _LEAF] = np.add.reduce(strip, axis=1)
-                minima.append(strip.min())
-    # Above the leaves, a power-of-two count, the pairwise sum adds
-    # adjacent pairs level by level.
-    total = leaves.ravel()
-    while total.size > 1:
-        total = total[0::2] + total[1::2]
-    p_step, q_step = _step(p_nodes), _step(psi.grid.nodes())
-    return WignerSummary(
-        normalization=float(total[0] * p_step * q_step),
-        max_imag=float(np.max(residues)),
-        min_value=float(np.min(minima)),
-        p_step=p_step,
-        q_step=q_step,
-        aliased=_boundary_mass(psi) > _ALIAS_MASS,
-    )
+    """``wigner(psi, h_e=h_e).summary``, bit for bit, without the n x n grid."""
+    return _transform(psi, h_e, keep_grid=False)[2]
 
 
 def wave_to_json(psi: WaveFunction1D) -> str:

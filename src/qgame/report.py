@@ -25,22 +25,22 @@ import numpy as np
 
 from . import __version__
 
-_STATUSES = ("pass", "fail", "info")
-
-
 @dataclass(frozen=True)
 class CheckRecord:
     """One pass/fail/info line of a report."""
 
     name: str
-    status: str
     deviation: float | None
     tolerance: float | None
     detail: str = ""
 
-    def __post_init__(self) -> None:
-        if self.status not in _STATUSES:
-            raise ValueError(f"status must be one of {_STATUSES}, got {self.status!r}")
+    @property
+    def status(self) -> str:
+        """``info`` without a tolerance; otherwise ``pass`` exactly when the
+        deviation is within it, so a NaN deviation fails."""
+        if self.tolerance is None:
+            return "info"
+        return "pass" if self.deviation <= self.tolerance else "fail"
 
     @property
     def passed(self) -> bool:

@@ -454,8 +454,8 @@ def _guarded(name: str, fn, tol: float, detail: str) -> CheckRecord:
     try:
         deviation = float(fn())
     except QGameError as exc:
-        return CheckRecord(name, "fail", float("inf"), tol, f"{detail}; aborted: {exc}")
-    return CheckRecord(name, "pass" if deviation <= tol else "fail", deviation, tol, detail)
+        return CheckRecord(name, float("inf"), tol, f"{detail}; aborted: {exc}")
+    return CheckRecord(name, deviation, tol, detail)
 
 
 def _chain_deviation(name: str, gates: GateSet) -> float:
@@ -577,5 +577,5 @@ def verify_universality(gates: GateSet = DEFAULT_GATES) -> list[CheckRecord]:
     checks = [_guarded(*row) for row in rows]
     law = transfer_byproduct_distribution()
     flatness = max(abs(v - 0.25) for v in law.values()) if len(law) == 4 else 1.0
-    return checks + [CheckRecord("byproduct_distribution", "info", flatness, None, (
+    return checks + [CheckRecord("byproduct_distribution", flatness, None, (
         "enumerated single-transfer byproduct law; deviation is distance from flat"))]

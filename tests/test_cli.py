@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import csv
 import importlib.util
 import io
 import json
@@ -678,9 +679,33 @@ class TestMarketCommand:
         assert _market_peak_mb("4096", "json") < 300.0
 
     def test_4096_point_json_report_holds_no_grid(self):
-        # JSON and text reports reduce the grid a strip at a time; the n x n
-        # float grid alone would be 134 MB.
+        # JSON and text reports reduce the grid a block of columns at a time;
+        # the n x n float grid alone would be 134 MB.
         assert _market_peak_mb("4096", "json") < 100.0
+
+    @pytest.mark.parametrize("grid", ["64", "512", "2048"])
+    def test_csv_and_json_reports_print_the_same_summary(self, capsys, tmp_path, grid):
+        # The CSV report builds the grid and JSON does not; both read the
+        # summary taken in the same pass over the grid.
+        _, payload = run_json(capsys, ["market", GAUSSIAN, "--grid", grid])
+        out = tmp_path / "market.csv"
+        assert main(["market", GAUSSIAN, "--grid", grid, "--output", "csv",
+                     "--out", str(out)]) == 0
+        sections = {}
+        with out.open() as handle:
+            for row in csv.reader(handle):
+                if row[0].startswith("# "):
+                    if row[0] == "# table wigner_grid":
+                        break
+                    sections[row[0][2:]] = rows = []
+                else:
+                    rows.append(row)
+        assert sections["checks"][1:] == [
+            [c["name"], c["status"], repr(c["deviation"]),
+             "None" if c["tolerance"] is None else repr(c["tolerance"]), c["detail"]]
+            for c in payload["checks"]]
+        assert sections["table wigner_summary"][1] == [
+            repr(v) for v in payload["tables"]["wigner_summary"]["rows"][0]]
 
     def test_grid_override_is_reported(self, capsys):
         _, payload = run_json(capsys, ["market", GAUSSIAN, "--grid", "128"])

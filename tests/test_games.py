@@ -267,6 +267,15 @@ class TestGambleSimulation:
                 hits += 1
         assert hits >= 24
 
+    def test_honest_half_width_does_not_depend_on_the_reward(self):
+        # An honest preparation is never flagged, so the reward is never paid
+        # and the spread is that of the +-1 rounds alone, at any reward.
+        widths = [gvw_simulate(GambleParams(math.pi / 4, 0.5, reward), 2000,
+                               seeded_rng(3)).half_width
+                  for reward in (1.0, 1e170, 1e308)]
+        assert math.isfinite(widths[0]) and widths[0] > 0.0
+        assert widths == [widths[0]] * 3
+
     def test_deterministic_for_a_fixed_seed(self):
         params = GambleParams(0.8, 0.25, 2.0)
         first = gvw_simulate(params, 1000, seeded_rng(9))

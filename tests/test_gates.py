@@ -7,7 +7,6 @@ from qgame import ValidationError, equal_up_to_global_phase
 from qgame.gates import (
     CNOT,
     CNOT_ALLIANCE,
-    DEFAULT_GATES,
     H,
     NOT,
     OBS_DIAG,
@@ -123,10 +122,3 @@ def test_non_involutions_are_rejected():
         Observable(np.array([[0, 1], [0, 0]]), "bad-sym")
     with pytest.raises(ValidationError):
         observable("Y")
-
-
-def test_breaker_lookup():
-    assert np.allclose(DEFAULT_GATES.breaker("I"), np.eye(2), atol=ATOL)
-    assert np.allclose(DEFAULT_GATES.breaker("NOT"), NOT, atol=ATOL)
-    with pytest.raises(ValidationError):
-        DEFAULT_GATES.breaker("H")

@@ -234,8 +234,8 @@ class TestWigner:
         p_density = momentum_density_at(psi, w.p_nodes)
         np.testing.assert_allclose(w.marginal_p(), p_density, atol=1e-6)
         assert w.normalization() == pytest.approx(1.0, abs=1e-8)
-        assert w.max_imag < 1e-10
-        assert not w.aliased
+        assert w.summary.max_imag < 1e-10
+        assert not w.summary.aliased
 
     def test_displaced_gaussian_is_the_shifted_formula(self):
         psi = _gaussian(mean=1.0, grid=GridSpec(-10.0, 10.0, 512), center=False)
@@ -295,7 +295,7 @@ class TestWigner:
         assert w.values.min() < -0.2
         np.testing.assert_allclose(w.marginal_q(), cat.density(), atol=1e-12)
         assert w.normalization() == pytest.approx(1.0, abs=1e-8)
-        assert not w.aliased
+        assert not w.summary.aliased
 
     def test_gaussian_positivity_canary(self):
         for spread, grid in ((0.5, GRID), (1.0, GRID),
@@ -306,7 +306,7 @@ class TestWigner:
     def test_boundary_mass_flags_aliasing(self):
         flat = WaveFunction1D.normalized(
             GRID, np.ones(GRID.n_points, dtype=complex))
-        assert wigner(flat).aliased
+        assert wigner(flat).summary.aliased
 
     def test_transform_holds_one_float_grid_plus_one_block(self):
         # The n x n float grid returned plus one block of columns in flight;
@@ -334,32 +334,35 @@ class TestWigner:
             patch.setattr(market_module, "_BLOCK", block or n)
             w = wigner(psi, h_e=h_e)
         assert w.values.tobytes() == expected.tobytes()
-        assert repr(w.max_imag) == repr(expected_imag)
+        assert repr(w.summary.max_imag) == repr(expected_imag)
 
 
 def _assert_summary_is_the_grid(summary, full):
+    """``summary`` is ``full``'s own summary bit for bit, its minimum is the
+    grid's, and its mass is the grid's sum up to the order of addition."""
     # repr tells -0.0 from 0.0 and would show a last-bit difference.
-    assert repr(summary.normalization) == repr(full.normalization())
+    assert repr(summary) == repr(full.summary)
     assert repr(summary.min_value) == repr(float(full.values.min()))
-    assert repr(summary.max_imag) == repr(full.max_imag)
-    assert summary == full.summary()
+    whole = float(full.values.sum() * summary.p_step * summary.q_step)
+    assert abs(summary.normalization - whole) <= 1e-12
 
 
 class TestWignerSummary:
     @settings(max_examples=60, deadline=None)
     @given(_WAVE_SAMPLES, st.sampled_from([TWO_PI, 1.0]), _BLOCK_WIDTHS)
-    def test_streamed_reductions_are_the_full_grid_bit_for_bit(self, samples, h_e,
-                                                               block):
+    def test_summary_is_the_grid_for_every_block_width(self, samples, h_e, block):
         n = len(samples)
         try:
             psi = WaveFunction1D.normalized(GridSpec(-8.0, 8.0, n), samples)
         except ValidationError:
             assume(False)
-        full = wigner(psi, h_e=h_e)
+        expected_imag = _row_loop_wigner(psi, h_e)[1]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(market_module, "_BLOCK", block or n)
             summary = wigner_summary(psi, h_e=h_e)
+            full = wigner(psi, h_e=h_e)
         _assert_summary_is_the_grid(summary, full)
+        assert repr(summary.max_imag) == repr(expected_imag)
 
     @pytest.mark.parametrize("n", [512, 2048, 4096])
     def test_seeded_gaussians_match_the_full_grid(self, n):
@@ -369,8 +372,8 @@ class TestWignerSummary:
         _assert_summary_is_the_grid(wigner_summary(psi), wigner(psi))
 
     def test_summary_holds_no_grid(self):
-        # One (n, 128) strip and one block of columns: a fraction of the
-        # n x n float grid that wigner returns, and linear in n.
+        # One block of columns: a fraction of the n x n float grid that
+        # wigner returns, and linear in n.
         n = 2048
         psi = _gaussian(grid=GridSpec(-8.0, 8.0, n))
         tracemalloc.start()
