@@ -1,6 +1,6 @@
 """Quantum game toolbox: dense simulation, measurement-driven gates, markets."""
 
-from .config import ATOL_ALGEBRA, ATOL_CIRCUIT, ATOL_QUAD, max_qubits, seeded_rng
+from .config import ATOL_ALGEBRA, ATOL_CIRCUIT, ATOL_QUAD, seeded_rng
 from .errors import (
     CapacityError,
     GridTruncationError,
@@ -35,7 +35,6 @@ __all__ = [
     "equal_up_to_global_phase",
     "fidelity",
     "matfun_hermitian",
-    "max_qubits",
     "seeded_rng",
     "tensor",
     "__version__",

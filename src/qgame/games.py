@@ -282,17 +282,24 @@ def _entries_to_array(value, rank: int, what: str) -> np.ndarray:
 
     Entries are plain numbers for real data; complex data adds one trailing
     axis of [re, im] pairs.  The expected rank disambiguates the two (a 2x2
-    real matrix and a two-entry pair vector share a shape otherwise).
+    real matrix and a two-entry pair vector share a shape otherwise).  JSON
+    strings and booleans are refused, as in every other input file, although
+    numpy would read ``"1"`` and ``true`` as numbers.
     """
+    entries = np.asarray(value, dtype=object)
+    if entries.ndim not in (rank, rank + 1):
+        raise ValidationError(f"{what} has unsupported shape {entries.shape}")
+    if any(isinstance(entry, (str, bool)) for entry in entries.flat):
+        raise ValidationError(f"{what} holds a string or boolean where a number belongs")
     try:
-        arr = np.asarray(value, dtype=float)
+        arr = entries.astype(float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{what} is not an array of numbers: {exc}") from None
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{what} holds NaN or infinity")
     if arr.ndim == rank:
         return arr.astype(complex)
-    if arr.ndim == rank + 1 and arr.shape[-1] == 2:
+    if arr.shape[-1] == 2:
         return arr[..., 0] + 1j * arr[..., 1]
     raise ValidationError(f"{what} has unsupported shape {arr.shape}")
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -382,16 +381,6 @@ def wigner(psi: WaveFunction1D, *, h_e: float = TWO_PI) -> WignerGrid:
 def wigner_summary(psi: WaveFunction1D, *, h_e: float = TWO_PI) -> WignerSummary:
     """``wigner(psi, h_e=h_e).summary``, bit for bit, without the n x n grid."""
     return _transform(psi, h_e, keep_grid=False)[2]
-
-
-def wave_to_json(psi: WaveFunction1D) -> str:
-    """The explicit-sample strategy file that ``qgame market`` reads."""
-    return json.dumps({
-        "q_min": psi.grid.q_min,
-        "q_max": psi.grid.q_max,
-        "n_points": psi.grid.n_points,
-        "samples": [[z.real, z.imag] for z in psi.samples],
-    })
 
 
 def wigner_to_csv(w: WignerGrid) -> str:

@@ -85,12 +85,10 @@ class Branch:
         return tuple(sign for _, sign in self.outcomes)
 
 
-def measure(state: QState, obs: Observable, targets: Sequence[int], mode: str = "enumerate",
-            rng: np.random.Generator | None = None):
+def measure(state: QState, obs: Observable, targets: Sequence[int]) -> list[Branch]:
     """Measure a binary observable on the chosen wires.
 
-    ``enumerate`` returns every realizable branch (+1 first); ``sample``
-    draws a single branch with the given generator.
+    Enumerates every realizable branch, +1 before -1; there is no sampling.
     """
     wires = _check_wires(targets, state.n_qubits, obs.n_qubits)
     branches = []
@@ -104,15 +102,7 @@ def measure(state: QState, obs: Observable, targets: Sequence[int], mode: str = 
             probability=prob,
             state=QState(projected / np.sqrt(prob)),
         ))
-    if mode == "enumerate":
-        return branches
-    if mode == "sample":
-        if rng is None:
-            raise ValidationError("sample mode needs an rng")
-        probs = np.array([b.probability for b in branches])
-        pick = int(rng.choice(len(branches), p=probs / probs.sum()))
-        return branches[pick]
-    raise ValidationError(f"mode must be 'enumerate' or 'sample', got {mode!r}")
+    return branches
 
 
 @dataclass(frozen=True)

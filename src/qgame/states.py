@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import ATOL_ALGEBRA, ATOL_CIRCUIT, max_qubits
+from .config import ATOL_ALGEBRA, ATOL_CIRCUIT, MAX_QUBITS
 from .errors import CapacityError, ValidationError
 
 _NORM_SLACK = 1e-6
@@ -38,9 +38,8 @@ class QState:
         n = int(vec.size).bit_length() - 1
         if vec.size != 2**n or vec.size < 2:
             raise ValidationError(f"amplitude count {vec.size} is not a power of two >= 2")
-        budget = max_qubits()
-        if n > budget:
-            raise CapacityError(f"register of {n} qubits exceeds the limit of {budget}")
+        if n > MAX_QUBITS:
+            raise CapacityError(f"register of {n} qubits exceeds the limit of {MAX_QUBITS}")
         norm = float(np.linalg.norm(vec))
         if norm == 0.0:
             raise ValidationError("cannot normalize the zero vector")
@@ -97,9 +96,9 @@ class Operator:
             raise ValidationError(f"operator must be square, got shape {mat.shape}")
         if not np.all(np.isfinite(mat)):
             raise ValidationError("operator contains NaN or infinity")
-        if mat.shape[0] > 2 ** max_qubits():
+        if mat.shape[0] > 2**MAX_QUBITS:
             raise CapacityError(
-                f"operator dimension {mat.shape[0]} exceeds the {max_qubits()}-qubit limit"
+                f"operator dimension {mat.shape[0]} exceeds the {MAX_QUBITS}-qubit limit"
             )
         self.matrix = mat
 

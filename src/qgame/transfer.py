@@ -92,27 +92,21 @@ class _Stack:
         return zip(self.signs, self.mass, self.amps.transpose(1, 0, 2))
 
 
-def _run_chain(block: np.ndarray, n: int, steps, mode: str, rng, consumed=None):
+def _run_chain(block: np.ndarray, n: int, steps, consumed=None) -> _Stack:
     """Walk a step chain over a block of registers, branching at measurements.
 
     ``block`` has shape ``(2**n, k)``: k registers as columns.  Every live
     branch rides along as a group of k columns of one array, so each gate is
     one kernel call and each measurement one call per outcome sign, however
     many branches there are; the children of a branch follow it in +1, -1
-    order.  Returns ``(stack, fault)`` with ``stack`` a :class:`_Stack`.  A
-    branch is dropped when every column's mass falls below PROB_EPS at a
-    measurement; a column below it in a kept branch is zeroed there, mass 0,
-    as if that outcome could not occur for it.  ``consumed = (wire, j)`` drops
-    ``wire``, which the j-th measurement left in an eigenstate.  ``fault`` is
-    None, or (column, ValidationError) for the lowest column whose register
-    is still entangled with that wire, from its first such branch.  Sample
-    mode follows one path drawn from column 0's masses, so it takes a single
-    column.
+    order.  Returns every branch as a :class:`_Stack`.  A branch is dropped
+    when every column's mass falls below PROB_EPS at a measurement; a column
+    below it in a kept branch is zeroed there, mass 0, as if that outcome
+    could not occur for it.  ``consumed = (wire, j)`` drops ``wire``, which
+    the j-th measurement left in an eigenstate.  If a column's register is
+    still entangled with that wire, a ValidationError is raised for the
+    lowest such column, from its first such branch.
     """
-    if mode not in ("enumerate", "sample"):
-        raise ValidationError(f"mode must be 'enumerate' or 'sample', got {mode!r}")
-    if mode == "sample" and rng is None:
-        raise ValidationError("sample mode needs an rng")
     dim, k = block.shape
     signs, amps = [()], block
     for step in steps:
@@ -126,14 +120,11 @@ def _run_chain(block: np.ndarray, n: int, steps, mode: str, rng, consumed=None):
         masses = _masses(forks.reshape(dim, -1)).reshape(-1, k)
         dead = masses < PROB_EPS
         (keep,) = np.nonzero(~dead.all(axis=1))
-        if mode == "sample":
-            drawn = masses[keep, 0]
-            keep = keep[[int(rng.choice(keep.size, p=drawn / drawn.sum()))]]
         forks = forks[:, keep]
         forks[:, dead[keep]] = 0.0
         signs = [signs[i // 2] + ((+1, -1)[i % 2],) for i in keep.tolist()]
         amps = forks.reshape(dim, -1)
-    mass, fault = _masses(amps), None
+    mass = _masses(amps)
     if consumed is not None:
         wire, j = consumed
         obs = [s for s in steps if isinstance(s, MeasureStep)][j].obs
@@ -148,22 +139,18 @@ def _run_chain(block: np.ndarray, n: int, steps, mode: str, rng, consumed=None):
         (bad,) = np.nonzero(np.abs(kept - mass) > _DISCARD_MASS_ATOL * np.maximum(mass, 1e-30))
         if bad.size:
             b = bad[np.argmin(bad % k)]
-            fault = (int(b % k), ValidationError(
+            raise ValidationError(
                 f"wire {wire} is still entangled with the register "
-                f"(mass {mass[b]:.3e} -> {kept[b]:.3e}); cannot discard it"))
+                f"(mass {mass[b]:.3e} -> {kept[b]:.3e}); cannot discard it")
     shape = (len(signs), k)
-    return _Stack(tuple(signs), mass.reshape(shape), amps.reshape(amps.shape[:1] + shape)), fault
+    return _Stack(tuple(signs), mass.reshape(shape), amps.reshape(amps.shape[:1] + shape))
 
 
-def _branches(state: QState, steps, mode, rng, package, consumed=None):
+def _branches(state: QState, steps, package, consumed=None) -> list:
     """Each branch on the caller's register as ``package(signs, prob, state)``."""
-    stack, fault = _run_chain(state.amplitudes[:, None], state.n_qubits, steps, mode, rng,
-                              consumed)
-    if fault is not None:
-        raise fault[1]
-    out = [package(signs, float(mass[0]), QState(v[:, 0] / np.sqrt(mass[0])))
-           for signs, mass, v in stack]
-    return out[0] if mode == "sample" else out
+    stack = _run_chain(state.amplitudes[:, None], state.n_qubits, steps, consumed)
+    return [package(signs, float(mass[0]), QState(v[:, 0] / np.sqrt(mass[0])))
+            for signs, mass, v in stack]
 
 
 @dataclass(frozen=True)
@@ -202,11 +189,11 @@ class _Chain:
         block[index] = np.reshape(amps, (2,) * len(self.input_wires) + (k,))
         return block.reshape(-1, k)
 
-    def replay(self, read: dict, amps: np.ndarray):
+    def replay(self, read: dict, amps: np.ndarray) -> _Stack:
         """Every branch of the chain on its canonical register for a block of
-        logical inputs: ``_run_chain``'s (branches, fault)."""
+        logical inputs, as ``_run_chain`` returns them."""
         steps = self.bind(read, {w: w for w in self.wires})
-        return _run_chain(self.embed(amps), len(self.wires), steps, "enumerate", None,
+        return _run_chain(self.embed(amps), len(self.wires), steps,
                           (self.consumed, self.eigvec_step))
 
 
@@ -248,9 +235,7 @@ _CHAINS = {
 
 def _branch_maps(chain: _Chain, read: dict) -> dict[tuple[int, ...], np.ndarray]:
     """Linear map of each branch on the logical input, one column per basis state."""
-    stack, fault = chain.replay(read, np.eye(2 ** len(chain.input_wires)))
-    if fault is not None:
-        raise fault[1]
+    stack = chain.replay(read, np.eye(2 ** len(chain.input_wires)))
     return {signs: mat for signs, _, mat in stack}
 
 
@@ -320,7 +305,7 @@ def _validate_fresh(state: QState, wire: int) -> None:
         raise ValidationError(f"ancilla wire {wire} must be freshly prepared in |0>")
 
 
-def _run_public(state: QState, caller_wires: tuple, name: str, gates: GateSet, mode, rng):
+def _run_public(state: QState, caller_wires: tuple, name: str, gates: GateSet) -> list:
     """Run chain ``name`` on the caller's wires (the entry point's wire arguments,
     in order); the consumed wire is removed, leaving one fewer qubit."""
     chain = _CHAINS[name]
@@ -328,13 +313,13 @@ def _run_public(state: QState, caller_wires: tuple, name: str, gates: GateSet, m
     where = dict(zip(chain.wires, caller_wires))
     steps = chain.bind(vars(gates), where)
     labels = [s.obs.label for s in steps if isinstance(s, MeasureStep)]
-    return _branches(state, steps, mode, rng, lambda signs, prob, psi: TransferOutcome(
+    return _branches(state, steps, lambda signs, prob, psi: TransferOutcome(
         tuple(zip(labels, signs)), prob, psi, table[signs].tag, table[signs].branch_map),
         (where[chain.consumed], chain.eigvec_step))
 
 
-def state_transfer_sigma_h(state: QState, src: int, anc: int, mode: str = "enumerate",
-                           rng=None, *, swapped: bool = False, gates: GateSet = DEFAULT_GATES):
+def state_transfer_sigma_h(state: QState, src: int, anc: int, *, swapped: bool = False,
+                           gates: GateSet = DEFAULT_GATES):
     """Move the strategy on ``src`` to ``anc`` while applying the basis switch.
 
     Three measurements consume ``src``; each branch leaves ``anc`` carrying
@@ -343,12 +328,11 @@ def state_transfer_sigma_h(state: QState, src: int, anc: int, mode: str = "enume
     the opening measurement on the fresh ancilla deterministic.
     """
     _validate_fresh(state, anc)
-    return _run_public(state, (src, anc), "transfer_swapped" if swapped else "transfer",
-                       gates, mode, rng)
+    return _run_public(state, (src, anc), "transfer_swapped" if swapped else "transfer", gates)
 
 
-def transfer_identity(state: QState, src: int, anc: int, variant: str = "zz",
-                      mode: str = "enumerate", rng=None, *, gates: GateSet = DEFAULT_GATES):
+def transfer_identity(state: QState, src: int, anc: int, variant: str = "zz", *,
+                      gates: GateSet = DEFAULT_GATES):
     """Move a strategy unchanged (up to a Pauli byproduct) onto a fresh wire.
 
     The three equivalent realizations: ``h`` precedes the basis-switch
@@ -358,22 +342,21 @@ def transfer_identity(state: QState, src: int, anc: int, variant: str = "zz",
     _validate_fresh(state, anc)
     if variant not in _IDENTITY_VARIANTS:
         raise ValidationError(f"variant must be one of {_IDENTITY_VARIANTS}, got {variant!r}")
-    return _run_public(state, (src, anc), f"identity_{variant}", gates, mode, rng)
+    return _run_public(state, (src, anc), f"identity_{variant}", gates)
 
 
-def transfer_phase_t(state: QState, src: int, anc: int, mode: str = "enumerate",
-                     rng=None, *, conjugated: bool = False, gates: GateSet = DEFAULT_GATES):
+def transfer_phase_t(state: QState, src: int, anc: int, *, conjugated: bool = False,
+                     gates: GateSet = DEFAULT_GATES):
     """Apply the eighth-turn phase gate by measurement, up to a byproduct.
 
     The closing measurement is the tilted flip word; the ``conjugated`` form
     rotates it to the diagonal mix G by a basis-switch gate on the source.
     """
     _validate_fresh(state, anc)
-    return _run_public(state, (src, anc), "sigma_t_conj" if conjugated else "sigma_t",
-                       gates, mode, rng)
+    return _run_public(state, (src, anc), "sigma_t_conj" if conjugated else "sigma_t", gates)
 
 
-def mbqc_cnot(state: QState, control: int, target: int, anc: int, mode: str = "enumerate", rng=None):
+def mbqc_cnot(state: QState, control: int, target: int, anc: int):
     """Entangle control and target by measurements through a fresh ancilla.
 
     Four measurements consume the ancilla and leave the pair carrying the
@@ -382,7 +365,7 @@ def mbqc_cnot(state: QState, control: int, target: int, anc: int, mode: str = "e
     can absorb the conditional phase of the SU(2) alliance gate.
     """
     _validate_fresh(state, anc)
-    return _run_public(state, (control, target, anc), "cnot", DEFAULT_GATES, mode, rng)
+    return _run_public(state, (control, target, anc), "cnot", DEFAULT_GATES)
 
 
 @dataclass(frozen=True)
@@ -395,7 +378,7 @@ class ImplicitReadout:
     state: QState
 
 
-def implicit_readout(state: QState, wire: int, anc: int, mode: str = "enumerate", rng=None):
+def implicit_readout(state: QState, wire: int, anc: int):
     """Readout of a wire inferred from a flip measurement pair.
 
     Measures the flip word on a fresh ancilla, then the joint flip/readout
@@ -403,7 +386,7 @@ def implicit_readout(state: QState, wire: int, anc: int, mode: str = "enumerate"
     readout law and post-states exactly, and the ancilla comes off clean.
     """
     _validate_fresh(state, anc)
-    return _branches(state, _implicit_steps(wire, anc), mode, rng,
+    return _branches(state, _implicit_steps(wire, anc),
                      lambda signs, prob, psi: ImplicitReadout(
                          outcomes=tuple(zip((OBS_X.label, _XZ.label), signs)),
                          derived_sign=signs[0] * signs[1], probability=prob, state=psi),
@@ -414,8 +397,8 @@ def _implicit_steps(wire: int, anc: int) -> tuple:
     return _m(OBS_X, anc), _m(_XZ, anc, wire)
 
 
-def measure_composite(state: QState, pair: tuple[int, int], kind: str,
-                      mode: str = "enumerate", rng=None, *, gates: GateSet = DEFAULT_GATES):
+def measure_composite(state: QState, pair: tuple[int, int], kind: str, *,
+                      gates: GateSet = DEFAULT_GATES):
     """Measure a same-letter two-wire word through its flip/readout realization.
 
     ``kind`` is ``"xx"`` (link gate on the second wire) or ``"zz"`` (link on
@@ -425,7 +408,7 @@ def measure_composite(state: QState, pair: tuple[int, int], kind: str,
     if kind not in ("xx", "zz"):
         raise ValidationError(f"kind must be 'xx' or 'zz', got {kind!r}")
     label = (_XX if kind == "xx" else _ZZ).label
-    return _branches(state, _composite_steps(pair, kind, gates), mode, rng,
+    return _branches(state, _composite_steps(pair, kind, gates),
                      lambda signs, prob, psi: Branch(((label, signs[0]),), prob, psi))
 
 
@@ -484,10 +467,7 @@ def _chain_deviation(name: str, gates: GateSet) -> float:
 def _implicit_deviation() -> float:
     """Largest gap between each derived sign's effect sum M^dag M and the
     direct readout projector."""
-    paths, fault = _run_chain(np.kron(np.eye(2), [[1.0], [0.0]]), 2, _implicit_steps(0, 1),
-                              "enumerate", None, (1, 0))
-    if fault is not None:
-        raise fault[1]
+    paths = _run_chain(np.kron(np.eye(2), [[1.0], [0.0]]), 2, _implicit_steps(0, 1), (1, 0))
     effect = {+1: np.zeros((2, 2), dtype=complex), -1: np.zeros((2, 2), dtype=complex)}
     for signs, _, v in paths:
         effect[signs[0] * signs[1]] += v.conj().T @ v
@@ -498,8 +478,7 @@ def _composite_deviation(kind: str, direct: Observable, gates: GateSet) -> float
     """Largest gap between the linked map of each sign and the direct projector,
     up to one global phase; a missing sign is a zero map."""
     linked = {signs[0]: v for signs, _, v in
-              _run_chain(np.eye(4), 2, _composite_steps((0, 1), kind, gates), "enumerate",
-                         None)[0]}
+              _run_chain(np.eye(4), 2, _composite_steps((0, 1), kind, gates))}
     gaps = []
     for sign in (+1, -1):
         proj = direct.projector(sign)

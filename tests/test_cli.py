@@ -114,14 +114,6 @@ class TestExitCodes:
         assert str(bad) in err and "'q_max'" in err
         assert out == ""
 
-    def test_bad_qubit_limit_is_a_usage_error(self, capsys, monkeypatch):
-        # newcomb builds registers, so it reads the limit; verify builds none.
-        monkeypatch.setenv("QGAME_MAX_QUBITS", "abc")
-        code, out, err = run(capsys, ["newcomb"])
-        assert code == 2
-        assert "QGAME_MAX_QUBITS" in err
-        assert out == ""
-
     @pytest.mark.parametrize("base, n_points", [
         pytest.param(_GAUSSIAN_64, 64.9, id="fractional"),
         pytest.param(_GAUSSIAN_64, 2**40, id="huge"),
@@ -185,6 +177,15 @@ class TestExitCodes:
                      id="huge_initial"),
         pytest.param(json.dumps({**_FLIP, "initial": [float("nan"), 0]}), "initial",
                      id="nan_initial"),
+        # numpy would read these as numbers; the market files refuse them too.
+        pytest.param(json.dumps({**_FLIP, "initial": ["1", "0"]}), "initial",
+                     id="string_initial"),
+        pytest.param(json.dumps({**_FLIP, "initial": [True, False]}), "initial",
+                     id="boolean_initial"),
+        pytest.param(json.dumps({**_FLIP, "transitions": {"a": [[0, "1"], ["1", 0]]}}),
+                     "transition 'a'", id="string_transition"),
+        pytest.param(json.dumps({**_FLIP, "accept": [[False, False], [False, True]]}),
+                     "accept", id="boolean_accept"),
     ])
     def test_qfa_unusable_file_is_refused(self, capsys, tmp_path, text, named):
         bad = tmp_path / "bad.json"
@@ -454,6 +455,47 @@ def test_every_name_the_benchmark_tracer_patches_exists():
     assert tracer.PATCHES and missing == []
 
 
+# Runs each argv through qgame.cli.main untraced, then again with the
+# benchmark tracer installed, and prints both [exit code, stdout] lists.
+_TRACED_PROBE = """
+import contextlib, importlib.util, io, json, sys
+import qgame.cli
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+
+def run_all():
+    results = []
+    for argv in json.loads(sys.argv[2]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = qgame.cli.main(argv)
+        results.append([code, out.getvalue()])
+    return results
+
+plain = run_all()
+spans = tracer.Tracer()
+spans.install()
+traced = run_all()
+print(json.dumps({"plain": plain, "traced": traced, "layers": sorted(spans.summary()["layers"])}))
+"""
+
+
+def test_the_benchmark_tracer_keeps_every_run_unchanged():
+    # Its wrappers pass arguments through by position and name, so a changed
+    # signature shows here as a changed exit code or output.
+    runs = [["verify"], ["verify", "--corrupt", "0.01"], ["walk", "--trials", "1000"],
+            ["market", GAUSSIAN, "--grid", "64", "--output", "csv"]]
+    result = subprocess.run([sys.executable, "-c", _TRACED_PROBE,
+                             str(ROOT / "perfbench" / "tracer.py"), json.dumps(runs)],
+                            env=_env_with_src(), capture_output=True, text=True, check=True)
+    got = json.loads(result.stdout)
+    assert [code for code, _ in got["plain"]] == [0, 1, 0, 0]
+    assert got["traced"] == got["plain"]
+    assert {"cli.main", "cli.cmd_verify", "cli.cmd_walk", "cli.cmd_market",
+            "transfer.verify_universality", "report.render.csv"} <= set(got["layers"])
+
+
 def test_cli_import_loads_no_scipy():
     probe = ("import qgame.cli, sys; print(any(m == 'scipy' or "
              "m.startswith('scipy.') for m in sys.modules))")
@@ -712,10 +754,12 @@ class TestMarketCommand:
         assert payload["config"]["n_points"] == 128
 
     def test_explicit_samples_payload(self, capsys, tmp_path):
-        from qgame.market import GridSpec, make_gaussian_strategy, wave_to_json
+        from qgame.market import GridSpec, make_gaussian_strategy
         psi = make_gaussian_strategy(0.0, 1.0, GridSpec(-8.0, 8.0, 128))
         wave_file = tmp_path / "wave.json"
-        wave_file.write_text(wave_to_json(psi))
+        wave_file.write_text(json.dumps({
+            "q_min": psi.grid.q_min, "q_max": psi.grid.q_max, "n_points": psi.grid.n_points,
+            "samples": [[z.real, z.imag] for z in psi.samples]}))
         code, payload = run_json(capsys, ["market", str(wave_file)])
         assert code == 0
         assert payload["config"]["n_points"] == 128

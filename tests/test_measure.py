@@ -1,4 +1,4 @@
-"""Projective measurement, sampling, and the yes/no interface split."""
+"""Projective measurement and the yes/no interface split."""
 
 import numpy as np
 import pytest
@@ -130,46 +130,6 @@ def test_repeated_measurement_repeats_the_outcome():
             assert len(again) == 1
             assert again[0].outcomes == branch.outcomes
             assert again[0].probability == pytest.approx(1.0, abs=1e-12)
-
-
-def test_sampling_frequencies_match_enumeration():
-    rng = np.random.default_rng(2024)
-    state = QState([0.8, 0.6])
-    n = 8_000
-    signs = [measure(state, OBS_X, [0], mode="sample", rng=rng).signs for _ in range(n)]
-    p_plus = signs.count((+1,)) / n
-    exact = measure(state, OBS_X, [0])[0].probability
-    sigma = np.sqrt(exact * (1 - exact) / n)
-    assert abs(p_plus - exact) < 4 * sigma
-
-
-def test_sample_mode_returns_single_branches_deterministically():
-    rng = np.random.default_rng(1)
-    state = QState([1, 1j], normalize=True)
-    first = [measure(state, OBS_X_PRIME, [0], mode="sample", rng=np.random.default_rng(1)).outcomes
-             for _ in range(3)]
-    assert first[0] == first[1] == first[2]
-    branch = measure(state, OBS_X, [0], mode="sample", rng=rng)
-    assert branch.probability == pytest.approx(0.5, abs=1e-12)
-
-
-def test_sampled_branch_is_one_of_the_enumerated_branches():
-    rng = np.random.default_rng(31)
-    for _ in range(20):
-        state = random_state(2, rng)
-        enumerated = {b.outcomes: b for b in measure(state, OBS_X, [1])}
-        branch = measure(state, OBS_X, [1], mode="sample", rng=rng)
-        match = enumerated[branch.outcomes]
-        assert branch.probability == match.probability
-        np.testing.assert_array_equal(branch.state.amplitudes, match.state.amplitudes)
-
-
-def test_sample_mode_needs_an_rng_and_a_known_mode():
-    state = QState([0.8, 0.6])
-    with pytest.raises(ValidationError, match="rng"):
-        measure(state, OBS_X, [0], mode="sample")
-    with pytest.raises(ValidationError, match="mode"):
-        measure(state, OBS_X, [0], mode="draw", rng=np.random.default_rng(0))
 
 
 def test_target_wire_validation():

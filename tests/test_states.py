@@ -58,25 +58,6 @@ def test_register_capacity_is_enforced():
         QState(np.ones(2**9) / 2**4.5)
 
 
-def test_capacity_env_override(monkeypatch):
-    monkeypatch.setenv("QGAME_MAX_QUBITS", "4")
-    with pytest.raises(CapacityError):
-        QState.zero(5)
-    monkeypatch.setenv("QGAME_MAX_QUBITS", "9")
-    assert QState.zero(9).n_qubits == 9
-
-
-@pytest.mark.parametrize("raw", ["abc", "0", "-3"])
-def test_bad_capacity_env_is_a_validation_error(monkeypatch, raw):
-    from qgame.config import max_qubits
-
-    monkeypatch.setenv("QGAME_MAX_QUBITS", raw)
-    with pytest.raises(ValidationError, match="QGAME_MAX_QUBITS"):
-        max_qubits()
-    with pytest.raises(ValueError):  # still a ValueError for existing callers
-        max_qubits()
-
-
 def test_nan_and_zero_vectors_are_rejected():
     with pytest.raises(ValidationError):
         QState([np.nan, 0.0])

@@ -112,15 +112,6 @@ def test_transfer_requires_a_fresh_ancilla():
         state_transfer_sigma_h(dirty, 0, 1)
 
 
-def test_transfer_sampling_follows_one_branch():
-    psi = QState([0.6, 0.8j])
-    reg = _with_fresh_ancilla(psi)
-    out = state_transfer_sigma_h(reg, 0, 1, mode="sample", rng=np.random.default_rng(4))
-    assert out.probability == pytest.approx(0.125, abs=1e-12)
-    repeat = state_transfer_sigma_h(reg, 0, 1, mode="sample", rng=np.random.default_rng(4))
-    assert repeat.signs == out.signs
-
-
 @pytest.mark.parametrize("variant,n_branches", [("h", 8), ("zz", 8), ("xx", 4)])
 def test_identity_transfer_variants_move_the_state_unchanged(variant, n_branches):
     rng = np.random.default_rng(31)
@@ -489,6 +480,15 @@ def _inputs(chain, rng, k):
     return [random_state(width, rng) for _ in range(k)] + basis
 
 
+def _run_or_refusal(block, n, steps, consumed):
+    """``_run_chain``'s stack and None, or None and the message of its refusal
+    to discard the consumed wire."""
+    try:
+        return transfer._run_chain(block, n, steps, consumed), None
+    except ValidationError as exc:
+        return None, str(exc)
+
+
 def _reference_chain_deviation(name, gates, inputs):
     """The ledger row as one public entry-point run per input."""
     chain = transfer._CHAINS[name]
@@ -527,12 +527,9 @@ class TestBatchedReplay:
     def test_block_replay_matches_single_replays(self, name):
         chain = transfer._CHAINS[name]
         block = _block(_inputs(chain, np.random.default_rng(11), 6))
-        paths, fault = chain.replay(vars(GateSet()), block)
-        assert fault is None
-        together = {signs: (mass, v) for signs, mass, v in paths}
+        together = {signs: (mass, v) for signs, mass, v in chain.replay(vars(GateSet()), block)}
         for j in range(block.shape[1]):
-            single, fault = chain.replay(vars(GateSet()), block[:, [j]])
-            assert fault is None
+            single = chain.replay(vars(GateSet()), block[:, [j]])
             live = {s for s, (mass, _) in together.items() if mass[j] > 0}
             assert live == {s for s, _, _ in single}
             for signs, mass, v in single:
@@ -541,30 +538,31 @@ class TestBatchedReplay:
 
     def test_a_column_pruned_in_a_kept_branch_is_zero_there(self):
         block = np.array([[1, 0, 1], [0, 1, 1]], dtype=complex) / [1, 1, np.sqrt(2)]
-        paths, _ = transfer._run_chain(block, 1, (transfer._m(observable("X'"), 0),),
-                                       "enumerate", None)
+        paths = transfer._run_chain(block, 1, (transfer._m(observable("X'"), 0),))
         assert [signs for signs, _, _ in paths] == [(1,), (-1,)]
         (_, plus, v_plus), (_, minus, v_minus) = paths
         assert plus.tolist() == [1.0, 0.0, pytest.approx(0.5)]
         assert minus.tolist() == [0.0, 1.0, pytest.approx(0.5)]
         assert not v_plus[:, 1].any() and not v_minus[:, 0].any()
-        paths, _ = transfer._run_chain(block[:, :1], 1, (transfer._m(observable("X'"), 0),),
-                                       "enumerate", None)
+        paths = transfer._run_chain(block[:, :1], 1, (transfer._m(observable("X'"), 0),))
         assert [signs for signs, _, _ in paths] == [(1,)]
 
     def test_lowest_entangled_column_is_the_fault(self):
         # Readout on wire 1, then a controlled flip from wire 0: discarding
-        # wire 1 is clean only where wire 0 was |0>.
+        # wire 1 is clean only where wire 0 was |0>.  Columns 1 and 3 are
+        # entangled, with different mass losses, so their messages differ.
         zero, plus, one = np.eye(2)[0], np.array([1, 1]) / np.sqrt(2), np.eye(2)[1]
         block = np.stack([np.kron(c, zero) for c in (zero, plus, zero, one)], axis=1)
+        block = block.astype(complex)
         steps = (transfer._m(observable("X'"), 1), transfer.GateStep(CNOT, (0, 1)))
-        _, fault = transfer._run_chain(block.astype(complex), 2, steps, "enumerate", None, (1, 0))
-        _, single = transfer._run_chain(block[:, [1]].astype(complex), 2, steps, "enumerate",
-                                        None, (1, 0))
-        assert fault[0] == 1 and str(fault[1]) == str(single[1])
+        messages = []
+        for cols in ([1], [3], slice(None)):
+            with pytest.raises(ValidationError, match="still entangled") as refused:
+                transfer._run_chain(block[:, cols], 2, steps, (1, 0))
+            messages.append(str(refused.value))
+        assert messages[2] == messages[0] != messages[1]
         with pytest.raises(ValidationError, match="still entangled"):
-            transfer._branches(QState(block[:, 1]), steps, "enumerate", None,
-                               lambda *branch: branch, (1, 0))
+            transfer._branches(QState(block[:, 1]), steps, lambda *branch: branch, (1, 0))
 
     @pytest.mark.parametrize("gates", [GateSet(), _PHASE_OFF, _TILTED],
                              ids=["clean", "phase", "tilted"])
@@ -667,7 +665,7 @@ class TestBatchedReplay:
     def test_stacked_branches_equal_single_column_runs(self, name, k, fresh, seed):
         # The chain's own discard is clean on its inputs.  Otherwise random
         # registers drop a wire fixed by some one-wire measurement, which most
-        # columns leave entangled, so the fault is compared too.  There |0...0>
+        # columns leave entangled, so the refusal is compared too.  There |0...0>
         # tilted by 1e-8 has branches of mass ~1e-16, below PROB_EPS but not
         # zero, which the stacked run keeps for other columns and must zero.
         chain = transfer._CHAINS[name]
@@ -684,17 +682,19 @@ class TestBatchedReplay:
             j = int(rng.choice([j for j, s in enumerate(measured) if len(s.wires) == 1]))
             consumed = (int(rng.choice(chain.wires)), j)
         block = block[:, rng.permutation(block.shape[1])]
-        stack, fault = transfer._run_chain(block, n, steps, "enumerate", None, consumed)
-        faults = []
+        stack, refusal = _run_or_refusal(block, n, steps, consumed)
+        refusals = [_run_or_refusal(block[:, [j]], n, steps, consumed)[1]
+                    for j in range(block.shape[1])]
+        assert refusal == next(filter(None, refusals), None)
+        if refusal is not None:
+            # A refused discard leaves no stack: compare the branches before it.
+            consumed = None
+            stack = transfer._run_chain(block, n, steps)
         for j in range(block.shape[1]):
-            single, single_fault = transfer._run_chain(block[:, [j]], n, steps, "enumerate",
-                                                       None, consumed)
-            if single_fault is not None:
-                faults.append((j, str(single_fault[1])))
+            single = transfer._run_chain(block[:, [j]], n, steps, consumed)
             rows = [p for p in range(len(stack.signs)) if stack.mass[p, j] > 0]
             assert [stack.signs[p] for p in rows] == list(single.signs)
             assert stack.mass[rows, j].tobytes() == single.mass[:, 0].tobytes()
             assert stack.amps[:, rows, j].tobytes() == single.amps[:, :, 0].tobytes()
             dead = [p for p in range(len(stack.signs)) if p not in rows]
             assert not stack.amps[:, dead, j].any()
-        assert (fault and (fault[0], str(fault[1]))) == (faults[0] if faults else None)
