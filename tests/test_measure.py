@@ -132,6 +132,14 @@ def test_repeated_measurement_repeats_the_outcome():
             assert again[0].probability == pytest.approx(1.0, abs=1e-12)
 
 
+def test_measure_takes_no_sampling_arguments():
+    state = QState([0.8, 0.6])
+    with pytest.raises(TypeError, match="mode"):
+        measure(state, OBS_X, [0], mode="sample")
+    with pytest.raises(TypeError, match="rng"):
+        measure(state, OBS_X, [0], rng=np.random.default_rng(0))
+
+
 def test_target_wire_validation():
     state = QState.zero(2)
     with pytest.raises(ValidationError):

@@ -15,6 +15,7 @@ from qgame import (
     matfun_hermitian,
     tensor,
 )
+from qgame.config import MAX_QUBITS
 
 from random_matrices import random_density, random_hermitian, random_state, random_unitary
 
@@ -56,6 +57,17 @@ def test_tensor_associativity_is_tight():
 def test_register_capacity_is_enforced():
     with pytest.raises(CapacityError):
         QState(np.ones(2**9) / 2**4.5)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda n: QState.zero(n), id="register"),
+    pytest.param(lambda n: Operator(np.eye(2**n)), id="operator"),
+])
+def test_the_limit_is_a_fixed_eight_qubits(build):
+    assert MAX_QUBITS == 8
+    build(MAX_QUBITS)
+    with pytest.raises(CapacityError, match=f"{MAX_QUBITS}"):
+        build(MAX_QUBITS + 1)
 
 
 def test_nan_and_zero_vectors_are_rejected():

@@ -1,5 +1,6 @@
 """Measurement-driven gate synthesis: branch maps, byproducts, equivalences."""
 
+import inspect
 import re
 import warnings
 
@@ -110,6 +111,13 @@ def test_transfer_requires_a_fresh_ancilla():
     dirty = tensor(QState.zero(1), QState.basis(1, 1))
     with pytest.raises(ValidationError):
         state_transfer_sigma_h(dirty, 0, 1)
+
+
+@pytest.mark.parametrize("entry", [state_transfer_sigma_h, transfer_identity, transfer_phase_t,
+                                   mbqc_cnot, implicit_readout, measure_composite],
+                         ids=lambda entry: entry.__name__)
+def test_entry_points_enumerate_with_no_sampling_arguments(entry):
+    assert {"mode", "rng"}.isdisjoint(inspect.signature(entry).parameters)
 
 
 @pytest.mark.parametrize("variant,n_branches", [("h", 8), ("zz", 8), ("xx", 4)])
