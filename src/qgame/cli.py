@@ -19,6 +19,7 @@ written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -40,6 +41,7 @@ from .games import (
     gvw_expected_payoffs,
     gvw_fair_point,
     gvw_simulate,
+    json_number,
     newcomb_run,
     qfa_from_dict,
     qfa_run,
@@ -186,24 +188,10 @@ def cmd_walk(args) -> Report:
     return Report("walk", config, checks, {"survival": table})
 
 
-def _real(value) -> float | None:
-    """A JSON number as a float, or None for anything else.
-
-    JSON strings and booleans are refused, although ``float`` would accept
-    ``"8"`` and ``true``.
-    """
-    if not isinstance(value, (str, bool)):
-        try:
-            return float(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    return None
-
-
 def _number(payload: dict, key: str, path: str, default=None) -> float:
     """One numeric field of a strategy file; a bad value names the file and field."""
     value = payload.get(key, default)
-    number = _real(value)
+    number = json_number(value)
     if number is None:
         raise ValidationError(f"{path}: field {key!r} must be a number, got {value!r}")
     return number
@@ -214,7 +202,7 @@ def _sample_pairs(samples, n_points: int, path: str) -> np.ndarray:
     read by the same rule as a numeric field."""
     pairs = None
     if isinstance(samples, list) and all(isinstance(pair, list) for pair in samples):
-        pairs = [[_real(x) for x in pair] for pair in samples]
+        pairs = [[json_number(x) for x in pair] for pair in samples]
     if (pairs is None or len(pairs) != n_points
             or any(len(pair) != 2 or None in pair for pair in pairs)):
         raise ValidationError(
@@ -236,6 +224,16 @@ def _point_count(value: int | float, source: str) -> int:
             f"{source} must be a power of two from 64 to "
             f"{MAX_WIGNER_POINTS}, got {value!r}")
     return int(value)
+
+
+@contextlib.contextmanager
+def _named(prefix: str):
+    """Re-raise any QGameError of the block as a ValidationError led by ``prefix``,
+    so a refusal names the input file and, where it is one, the field."""
+    try:
+        yield
+    except QGameError as exc:
+        raise ValidationError(f"{prefix}: {exc}") from None
 
 
 def _read_json_object(path: str, what: str) -> dict:
@@ -275,23 +273,20 @@ def _load_strategy(path: str, grid_override: int | None):
         n_points = _point_count(_number(payload, "n_points", path),
                                 f"{path}: field 'n_points'")
     q_min, q_max = _number(payload, "q_min", path), _number(payload, "q_max", path)
-    try:
+    with _named(path):
         grid = GridSpec(q_min, q_max, n_points)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
     if explicit:
         pairs = _sample_pairs(payload["samples"], n_points, path)
-        return WaveFunction1D(grid, pairs[:, 0] + 1j * pairs[:, 1])
+        with _named(f"{path}: field 'samples'"):
+            return WaveFunction1D(grid, pairs[:, 0] + 1j * pairs[:, 1])
     center = payload.get("center", True)
     if not isinstance(center, bool):
         raise ValidationError(
             f"{path}: field 'center' must be true or false, got {center!r}")
     mean = _number(payload, "mean", path, default=0.0)
     spread = _number(payload, "spread", path, default=1.0)
-    try:
+    with _named(path):
         return make_gaussian_strategy(mean, spread, grid, center=center)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
 
 
 def cmd_market(args) -> Report:
@@ -299,7 +294,7 @@ def cmd_market(args) -> Report:
     prices = [float(c) for c in np.exp(np.linspace(-2.0, 2.0, 9))]
     momentum = to_momentum(psi)
     cdf_rows = [[price, demand_cdf(psi, price),
-                 supply_cdf(momentum, price, in_momentum_rep=True)]
+                 supply_cdf(momentum, price)]
                 for price in prices]
     # Only the CSV report prints the grid; the others need its reductions.
     grid_view = wigner(psi) if args.output == "csv" else None
@@ -339,10 +334,8 @@ def _wigner_as_table(grid_view) -> Table:
 
 def cmd_qfa(args) -> Report:
     payload = _read_json_object(args.automaton, "automaton")
-    try:
+    with _named(args.automaton):
         automaton = qfa_from_dict(payload)
-    except ValidationError as exc:
-        raise ValidationError(f"{args.automaton}: {exc}") from None
     words = args.word if args.word else [""]
     rows = [[word, qfa_run(automaton, list(word))] for word in words]
     return Report("qfa",

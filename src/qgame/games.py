@@ -277,19 +277,32 @@ def qfa_run(qfa: QFA, word: Sequence[str]) -> float:
     return float(np.vdot(kept, kept).real)
 
 
+# Every input file refuses JSON strings and booleans where a number belongs,
+# although float and numpy would read "8" and true as numbers.
+_NOT_NUMBERS = (str, bool)
+
+
+def json_number(value) -> float | None:
+    """A JSON number as a float, or None for anything else."""
+    if not isinstance(value, _NOT_NUMBERS):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    return None
+
+
 def _entries_to_array(value, rank: int, what: str) -> np.ndarray:
     """Decode a JSON-friendly array of the given rank.
 
     Entries are plain numbers for real data; complex data adds one trailing
     axis of [re, im] pairs.  The expected rank disambiguates the two (a 2x2
-    real matrix and a two-entry pair vector share a shape otherwise).  JSON
-    strings and booleans are refused, as in every other input file, although
-    numpy would read ``"1"`` and ``true`` as numbers.
+    real matrix and a two-entry pair vector share a shape otherwise).
     """
     entries = np.asarray(value, dtype=object)
     if entries.ndim not in (rank, rank + 1):
         raise ValidationError(f"{what} has unsupported shape {entries.shape}")
-    if any(isinstance(entry, (str, bool)) for entry in entries.flat):
+    if any(isinstance(entry, _NOT_NUMBERS) for entry in entries.flat):
         raise ValidationError(f"{what} holds a string or boolean where a number belongs")
     try:
         arr = entries.astype(float)

@@ -45,14 +45,14 @@ class Observable:
 
     __slots__ = ("matrix", "label", "proj_plus", "proj_minus", "_eigenvectors")
 
-    def __init__(self, matrix, label: str, *, atol: float = ATOL_ALGEBRA):
+    def __init__(self, matrix, label: str):
         mat = np.asarray(matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValidationError(f"observable {label!r} must be square")
-        if not np.allclose(mat, mat.conj().T, atol=atol):
+        if not np.allclose(mat, mat.conj().T, atol=ATOL_ALGEBRA):
             raise ValidationError(f"observable {label!r} is not Hermitian")
         eye = np.eye(mat.shape[0])
-        if not np.allclose(mat @ mat, eye, atol=atol):
+        if not np.allclose(mat @ mat, eye, atol=ATOL_ALGEBRA):
             raise ValidationError(f"observable {label!r} is not an involution")
         self.matrix = mat
         self.label = label

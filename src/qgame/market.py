@@ -6,9 +6,11 @@ price; selling propensity lives in the conjugate representation reached by
 a discrete Fourier transform.  The phase-space view is a discretized
 Wigner transform whose q-marginal is exact on the grid by construction.
 
-Conventions: the economic Planck constant defaults to h = 2*pi so that the
-reduced constant is 1, and grids exclude their upper endpoint so the
-implied circle closes and FFT round trips are exact.
+Conventions: the economic Planck constant is fixed at h_E = 2*pi, so the
+reduced constant is 1 and no function takes it as an argument, and grids
+exclude their upper endpoint so the implied circle closes and FFT round
+trips are exact.  ``supply_cdf`` takes the conjugate wave that
+``to_momentum`` returns.
 """
 
 from __future__ import annotations
@@ -66,9 +68,9 @@ class GridSpec:
     def nodes(self) -> np.ndarray:
         return self.q_min + self.step * np.arange(self.n_points)
 
-    def conjugate(self, hbar: float = 1.0) -> "GridSpec":
+    def conjugate(self) -> "GridSpec":
         """Grid of the Fourier-dual coordinate, same point count."""
-        half_span = math.pi * hbar / self.step
+        half_span = math.pi / self.step
         return GridSpec(-half_span, half_span, self.n_points)
 
 
@@ -77,7 +79,8 @@ class WaveFunction1D:
     """Normalized strategy profile sampled on a grid.
 
     Normalization is in the Riemann sense: sum |psi|^2 * step = 1, which
-    the Fourier transform below preserves exactly.
+    the Fourier transform below preserves exactly; ``normalized`` rescales
+    samples to it.
     """
 
     grid: GridSpec
@@ -93,7 +96,7 @@ class WaveFunction1D:
         norm = float(np.sum(np.abs(arr) ** 2) * self.grid.step)
         if abs(norm - 1.0) > _NORM_ATOL:
             raise ValidationError(
-                f"wave norm {norm} is not 1; use WaveFunction1D.normalized")
+                f"wave norm {norm} is not 1 (the sum of |samples|^2 * step)")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
@@ -188,66 +191,57 @@ def demand_cdf(psi: WaveFunction1D, price: float) -> float:
     return _cdf_at(psi, math.log(_check_price(price)))
 
 
-def to_momentum(psi: WaveFunction1D, *, h_e: float = TWO_PI) -> WaveFunction1D:
+def to_momentum(psi: WaveFunction1D) -> WaveFunction1D:
     """Fourier transform to the conjugate representation.
 
     Returns the wave on the conjugate grid of the same point count; the
     scaling keeps the Riemann norm exactly 1 (a discrete Parseval
     identity), so round trips through from_momentum are exact.
     """
-    hbar = h_e / TWO_PI
     grid = psi.grid
     n = grid.n_points
     signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     spectrum = np.fft.fft(signs * psi.samples)
     k_offset = np.arange(n) - n // 2
     phases = np.exp(-1j * TWO_PI * k_offset * grid.q_min / (n * grid.step))
-    samples = (grid.step / math.sqrt(h_e)) * phases * spectrum
-    return WaveFunction1D(grid.conjugate(hbar), samples)
+    samples = (grid.step / math.sqrt(TWO_PI)) * phases * spectrum
+    return WaveFunction1D(grid.conjugate(), samples)
 
 
-def from_momentum(psi_p: WaveFunction1D, grid: GridSpec, *,
-                  h_e: float = TWO_PI) -> WaveFunction1D:
+def from_momentum(psi_p: WaveFunction1D, grid: GridSpec) -> WaveFunction1D:
     """Inverse of to_momentum back onto the given position grid."""
-    hbar = h_e / TWO_PI
     n = grid.n_points
     if psi_p.grid.n_points != n:
         raise ValidationError("momentum wave and target grid sizes differ")
-    if not math.isclose(psi_p.grid.step * grid.step * n, TWO_PI * hbar,
+    if not math.isclose(psi_p.grid.step * grid.step * n, TWO_PI,
                         rel_tol=1e-9):
         raise ValidationError("grids are not Fourier conjugates")
     k_offset = np.arange(n) - n // 2
     phases = np.exp(1j * TWO_PI * k_offset * grid.q_min / (n * grid.step))
-    spectrum = (math.sqrt(h_e) / grid.step) * phases * psi_p.samples
+    spectrum = (math.sqrt(TWO_PI) / grid.step) * phases * psi_p.samples
     signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     return WaveFunction1D(grid, signs * np.fft.ifft(spectrum))
 
 
-def supply_cdf(psi: WaveFunction1D, price: float, *, in_momentum_rep: bool = False,
-               h_e: float = TWO_PI) -> float:
+def supply_cdf(psi_p: WaveFunction1D, price: float) -> float:
     """Probability that the trader is willing to sell at the given price.
 
-    The selling propensity integrates the conjugate-representation density
-    up to ln(1/price).  Pass ``in_momentum_rep=True`` when the wave is
-    already the conjugate profile to skip the transform.
+    ``psi_p`` is the conjugate wave, ``to_momentum(psi)``; the selling
+    propensity integrates its density up to ln(1/price).
     """
-    threshold = -math.log(_check_price(price))
-    wave = psi if in_momentum_rep else to_momentum(psi, h_e=h_e)
-    return _cdf_at(wave, threshold)
+    return _cdf_at(psi_p, -math.log(_check_price(price)))
 
 
-def momentum_density_at(psi: WaveFunction1D, p_values, *,
-                        h_e: float = TWO_PI) -> np.ndarray:
+def momentum_density_at(psi: WaveFunction1D, p_values) -> np.ndarray:
     """Conjugate density evaluated directly at arbitrary points.
 
     Unlike to_momentum this is not restricted to the FFT node set, at the
     cost of a dense transform; used to cross-check phase-space marginals.
     """
-    hbar = h_e / TWO_PI
     p = np.atleast_1d(np.asarray(p_values, dtype=float))
     nodes = psi.grid.nodes()
-    transform = (psi.grid.step / math.sqrt(h_e)) * (
-        np.exp(-1j * np.outer(p, nodes) / hbar) @ psi.samples)
+    transform = (psi.grid.step / math.sqrt(TWO_PI)) * (
+        np.exp(-1j * np.outer(p, nodes)) @ psi.samples)
     return np.abs(transform) ** 2
 
 
@@ -285,7 +279,6 @@ class WignerGrid:
     values: np.ndarray
     p_nodes: np.ndarray
     q_nodes: np.ndarray
-    h_e: float
     summary: WignerSummary
 
     def normalization(self) -> float:
@@ -304,7 +297,7 @@ class WignerGrid:
             yield np.concatenate(([p], row))
 
 
-def _p_nodes(psi: WaveFunction1D, h_e: float) -> np.ndarray:
+def _p_nodes(psi: WaveFunction1D) -> np.ndarray:
     """The p nodes of the Wigner grid; refuses a grid past the point limit."""
     grid = psi.grid
     n = grid.n_points
@@ -312,10 +305,10 @@ def _p_nodes(psi: WaveFunction1D, h_e: float) -> np.ndarray:
         raise CapacityError(
             f"wigner needs an n x n grid; {n} exceeds the "
             f"{MAX_WIGNER_POINTS}-point limit")
-    return math.pi * (h_e / TWO_PI) * (np.arange(n) - n // 2) / (n * grid.step)
+    return math.pi * (np.arange(n) - n // 2) / (n * grid.step)
 
 
-def _transform(psi: WaveFunction1D, h_e: float, keep_grid: bool) -> tuple:
+def _transform(psi: WaveFunction1D, keep_grid: bool) -> tuple:
     """One pass over the Wigner grid, ``_BLOCK`` q columns at a time.
 
     Returns ``(values, p_nodes, summary)``.  Each block's real part is
@@ -323,11 +316,11 @@ def _transform(psi: WaveFunction1D, h_e: float, keep_grid: bool) -> tuple:
     ``values`` is None.  The summary adds the blocks' sums in block order
     and keeps the minimum and the largest |imag|, both exact in any order.
     """
-    p_nodes = _p_nodes(psi, h_e)
+    p_nodes = _p_nodes(psi)
     grid = psi.grid
     n = grid.n_points
     vec = psi.samples
-    scale = 2.0 * grid.step / h_e
+    scale = 2.0 * grid.step / TWO_PI
     values = np.empty((n, n)) if keep_grid else None
     # np.minimum and np.maximum propagate a NaN like one whole-grid reduction.
     total, minimum, residue = 0.0, np.inf, 0.0
@@ -364,7 +357,7 @@ def _transform(psi: WaveFunction1D, h_e: float, keep_grid: bool) -> tuple:
     )
 
 
-def wigner(psi: WaveFunction1D, *, h_e: float = TWO_PI) -> WignerGrid:
+def wigner(psi: WaveFunction1D) -> WignerGrid:
     """Discrete Wigner transform of a strategy.
 
     Follows the shifted-product form with offsets x = 2m * step so both
@@ -374,13 +367,13 @@ def wigner(psi: WaveFunction1D, *, h_e: float = TWO_PI) -> WignerGrid:
     The grid's summary records the worst imaginary residue and flags
     strategies carrying visible mass at the grid edge as aliased.
     """
-    values, p_nodes, summary = _transform(psi, h_e, keep_grid=True)
-    return WignerGrid(values, p_nodes, psi.grid.nodes(), h_e, summary)
+    values, p_nodes, summary = _transform(psi, keep_grid=True)
+    return WignerGrid(values, p_nodes, psi.grid.nodes(), summary)
 
 
-def wigner_summary(psi: WaveFunction1D, *, h_e: float = TWO_PI) -> WignerSummary:
-    """``wigner(psi, h_e=h_e).summary``, bit for bit, without the n x n grid."""
-    return _transform(psi, h_e, keep_grid=False)[2]
+def wigner_summary(psi: WaveFunction1D) -> WignerSummary:
+    """``wigner(psi).summary``, bit for bit, without the n x n grid."""
+    return _transform(psi, keep_grid=False)[2]
 
 
 def wigner_to_csv(w: WignerGrid) -> str:

@@ -127,7 +127,7 @@ def interface_yes_no(rho: DensityOp, g: Operator, coupling: float) -> InterfaceR
     through the Hermitian generator ``g``: rho -> cos(c g) rho cos(c g) on
     the yes branch and sin(c g) rho sin(c g) on the no branch.
     """
-    if not g.is_hermitian(atol=1e-9):
+    if not g.is_hermitian():
         raise ValidationError("coupling generator must be Hermitian")
     if g.dim != rho.dim:
         raise ValidationError(f"generator dim {g.dim} does not match state dim {rho.dim}")

@@ -131,7 +131,7 @@ def match_pauli_word(mat: np.ndarray, atol: float = 1e-10) -> tuple[tuple[str, .
     return words[first], complex(coeffs[first])
 
 
-def tag_from_scalar(letters: tuple[str, ...], coeff: complex, atol: float = 1e-8) -> tuple[PauliTag, float]:
+def tag_from_scalar(letters: tuple[str, ...], coeff: complex) -> tuple[PauliTag, float]:
     """Fold a matched scalar into a tag, requiring its phase to be a power of i.
 
     Returns the tag and the leftover positive magnitude.
@@ -142,6 +142,6 @@ def tag_from_scalar(letters: tuple[str, ...], coeff: complex, atol: float = 1e-8
     angle = np.angle(coeff)
     quarter = int(np.round(angle / (np.pi / 2))) % 4
     residue = abs(np.exp(1j * angle) - 1j**quarter)
-    if residue > atol:
+    if residue > 1e-8:
         raise ValidationError(f"scalar phase {angle} is not a multiple of pi/2 (residue {residue:.2e})")
     return PauliTag(letters, quarter), magnitude

@@ -14,7 +14,6 @@ as one string.  JSON and text reports are small and built whole.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from collections.abc import Iterable
@@ -154,17 +153,14 @@ class Report:
             lines.append(f"wall time: {self.wall_time_s:.3f} s")
         return "\n".join(lines) + "\n"
 
-    def render(self, fmt: str, out: TextIO | None = None) -> str | None:
-        """The report in ``fmt`` (json, csv or text) as a string, or, when a
-        text stream ``out`` is given, written into it and None returned."""
+    def render(self, fmt: str, out: TextIO) -> None:
+        """Write the report in ``fmt`` (json, csv or text) into the text stream ``out``."""
         if fmt not in ("json", "csv", "text"):
             raise ValueError(f"unknown output format {fmt!r}")
-        target = io.StringIO() if out is None else out
         if fmt == "csv":
-            self._write_csv(target)
+            self._write_csv(out)
         else:
-            target.write(self.to_json() if fmt == "json" else self.to_text())
-        return target.getvalue() if out is None else None
+            out.write(self.to_json() if fmt == "json" else self.to_text())
 
 
 def _format(value) -> str:

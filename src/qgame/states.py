@@ -17,6 +17,8 @@ from .config import ATOL_ALGEBRA, ATOL_CIRCUIT, MAX_QUBITS
 from .errors import CapacityError, ValidationError
 
 _NORM_SLACK = 1e-6
+# Hermiticity, trace and positivity slack of operators built by the library.
+_OPERATOR_ATOL = 1e-9
 
 
 def _as_complex_vector(values) -> np.ndarray:
@@ -70,9 +72,6 @@ class QState:
         """<self|other>."""
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
     def prob_of_bit(self, qubit: int, bit: int) -> float:
         """Marginal probability that ``qubit`` reads ``bit``."""
         if not 0 <= qubit < self.n_qubits:
@@ -106,8 +105,8 @@ class Operator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def is_hermitian(self, atol: float = ATOL_ALGEBRA) -> bool:
-        return bool(np.allclose(self.matrix, self.matrix.conj().T, atol=atol))
+    def is_hermitian(self) -> bool:
+        return bool(np.allclose(self.matrix, self.matrix.conj().T, atol=_OPERATOR_ATOL))
 
     def __repr__(self) -> str:
         return f"Operator(dim={self.dim})"
@@ -118,21 +117,21 @@ class DensityOp:
 
     __slots__ = ("matrix",)
 
-    def __init__(self, matrix, *, atol: float = 1e-9):
+    def __init__(self, matrix):
         mat = np.asarray(matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValidationError(f"density matrix must be square, got shape {mat.shape}")
         if not np.all(np.isfinite(mat)):
             raise ValidationError("density matrix contains NaN or infinity")
-        if not np.allclose(mat, mat.conj().T, atol=atol):
+        if not np.allclose(mat, mat.conj().T, atol=_OPERATOR_ATOL):
             raise ValidationError("density matrix is not Hermitian")
         mat = (mat + mat.conj().T) / 2
         trace = float(np.trace(mat).real)
-        if abs(trace - 1.0) > atol:
+        if abs(trace - 1.0) > _OPERATOR_ATOL:
             raise ValidationError(f"density matrix trace {trace} is not 1")
         mat = mat / trace
         eigs = np.linalg.eigvalsh(mat)
-        if eigs.min() < -atol:
+        if eigs.min() < -_OPERATOR_ATOL:
             raise ValidationError(f"density matrix has negative eigenvalue {eigs.min()}")
         self.matrix = mat
 
@@ -157,7 +156,7 @@ def tensor(a, b):
 
 def matfun_hermitian(g: Operator, f: Callable[[np.ndarray], np.ndarray]) -> Operator:
     """Apply a scalar function to a Hermitian operator through its eigenbasis."""
-    if not g.is_hermitian(atol=1e-9):
+    if not g.is_hermitian():
         raise ValidationError("matfun_hermitian requires a Hermitian operator")
     eigvals, eigvecs = np.linalg.eigh(g.matrix)
     fvals = np.asarray(f(eigvals))

@@ -417,12 +417,12 @@ def _composite_steps(pair: tuple[int, int], kind: str, gates: GateSet) -> tuple:
     return link, MeasureStep(_XZ, tuple(pair)), link
 
 
-def transfer_byproduct_distribution(*, swapped: bool = False) -> dict[str, float]:
+def transfer_byproduct_distribution() -> dict[str, float]:
     """Byproduct law of a single default-gate transfer, from exhaustive branch
     enumeration; each map is a scaled unitary, so the law does not depend on
     the input."""
     law: dict[str, float] = {}
-    for row in _byproducts("transfer_swapped" if swapped else "transfer", DEFAULT_GATES).values():
+    for row in _byproducts("transfer", DEFAULT_GATES).values():
         prob = float(np.vdot(row.branch_map[:, 0], row.branch_map[:, 0]).real)
         law[row.tag.letters[0]] = law.get(row.tag.letters[0], 0.0) + prob
     return law

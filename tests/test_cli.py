@@ -171,6 +171,23 @@ class TestExitCodes:
         assert str(bad) in err and "'center'" in err
         assert out == ""
 
+    @pytest.mark.parametrize("payload, named", [
+        pytest.param({**_WAVE_64, "samples": [[1.0, 0.0]] * 64},
+                     "field 'samples': wave norm 16.0 is not 1", id="unnormalized_wave"),
+        pytest.param({**_WAVE_64, "samples": [[float("nan"), 0.0], *_WAVE_64["samples"][1:]]},
+                     "field 'samples': samples contain NaN", id="nan_sample"),
+        pytest.param({**_GAUSSIAN_64, "spread": 5.0}, "grid [-8.0, 8.0] clips the strategy",
+                     id="clipped_gaussian"),
+    ])
+    def test_market_refused_wave_names_the_file(self, capsys, tmp_path, payload, named):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        code, out, err = run(capsys, ["market", str(bad)])
+        assert code == 2
+        assert f"qgame market: {bad}: {named}" in err
+        assert "WaveFunction1D" not in err
+        assert out == ""
+
     @pytest.mark.parametrize("text, named", [
         pytest.param("5", "JSON object", id="not_an_object"),
         pytest.param(json.dumps({**_FLIP, "initial": [10**400, 0]}), "initial",

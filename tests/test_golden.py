@@ -28,6 +28,7 @@ CASES = {
     "walk_trials100000": (["walk", "--trials", "100000"], 0),
     "market_gaussian": (["market", "docs/examples/gaussian.json"], 0),
     "market_gaussian_grid64": (["market", "docs/examples/gaussian.json", "--grid", "64"], 0),
+    "market_gaussian_grid2048": (["market", "docs/examples/gaussian.json", "--grid", "2048"], 0),
     "market_wave": (["market", "docs/examples/wave.json"], 0),
     "qfa_flip_aa": (["qfa", "docs/examples/flip_automaton.json", "--word", "aa"], 0),
 }

@@ -177,20 +177,13 @@ class TestMomentum:
 
 class TestSupply:
     def test_price_one_splits_even(self):
-        assert supply_cdf(_gaussian(), 1.0) == pytest.approx(0.5, abs=1e-8)
+        assert supply_cdf(to_momentum(_gaussian()), 1.0) == pytest.approx(0.5, abs=1e-8)
 
     def test_monotone_nonincreasing_in_price(self):
-        psi = _gaussian()
+        tilde = to_momentum(_gaussian())
         prices = np.exp(np.linspace(-3, 3, 25))
-        values = [supply_cdf(psi, c) for c in prices]
+        values = [supply_cdf(tilde, c) for c in prices]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
-
-    def test_momentum_rep_input_skips_the_transform(self):
-        psi = _gaussian()
-        tilde = to_momentum(psi)
-        for price in (0.5, 1.0, 2.0):
-            assert supply_cdf(tilde, price, in_momentum_rep=True) == pytest.approx(
-                supply_cdf(psi, price), abs=1e-12)
 
 
 _COMPLEX = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
@@ -201,9 +194,10 @@ _WAVE_SAMPLES = st.sampled_from([64, 128, 256]).flatmap(
 _BLOCK_WIDTHS = st.sampled_from([1, 5, 32, 64, None])
 
 
-def _row_loop_wigner(psi, h_e):
+def _row_loop_wigner(psi):
     """Reference transform: one n x n complex array filled a p row at a time,
-    transformed down its columns; returns the real grid and max |imag|."""
+    transformed down its columns, with h_E = 2 pi; returns the real grid and
+    max |imag|."""
     n, vec = psi.grid.n_points, psi.samples
     folded = np.zeros((n, n), dtype=complex)
     j = np.arange(n)
@@ -214,7 +208,7 @@ def _row_loop_wigner(psi, h_e):
         folded[r, n - r:r] = vec[jj + r - n] * np.conj(vec[jj - r + n])
     folded[1::2] *= -1.0
     np.fft.fft(folded, axis=0, out=folded)
-    folded *= 2.0 * psi.grid.step / h_e
+    folded *= 2.0 * psi.grid.step / TWO_PI
     return np.ascontiguousarray(folded.real), float(np.max(np.abs(folded.imag)))
 
 
@@ -244,17 +238,6 @@ class TestWigner:
         p = w.p_nodes[:, None]
         analytic = (1.0 / math.pi) * np.exp(-((q - 1.0) ** 2) - (p ** 2))
         assert np.max(np.abs(w.values - analytic)) < 1e-6
-
-    @pytest.mark.parametrize("h_e", [1.0, 4.0 * math.pi])
-    def test_planck_constant_scales_the_p_axis(self, h_e):
-        # W(q, p) = exp(-q^2 - (p / hbar)^2) / (pi hbar) for a unit Gaussian.
-        hbar = h_e / TWO_PI
-        w = wigner(_gaussian(spread=1.0), h_e=h_e)
-        q = w.q_nodes[None, :]
-        p = w.p_nodes[:, None]
-        analytic = np.exp(-(q ** 2) - (p / hbar) ** 2) / (math.pi * hbar)
-        assert np.max(np.abs(w.values - analytic)) < 1e-6 / hbar
-        assert w.normalization() == pytest.approx(1.0, abs=1e-8)
 
     def test_kicked_gaussian_marginal_is_the_momentum_density(self):
         # A complex wave's grid is not symmetric in p: exp(2i q) moves the
@@ -322,17 +305,17 @@ class TestWigner:
         assert peak < n * n * 16
 
     @settings(max_examples=60, deadline=None)
-    @given(_WAVE_SAMPLES, st.sampled_from([TWO_PI, 1.0]), _BLOCK_WIDTHS)
-    def test_blocked_transform_is_the_row_loop_bit_for_bit(self, samples, h_e, block):
+    @given(_WAVE_SAMPLES, _BLOCK_WIDTHS)
+    def test_blocked_transform_is_the_row_loop_bit_for_bit(self, samples, block):
         n = len(samples)
         try:
             psi = WaveFunction1D.normalized(GridSpec(-8.0, 8.0, n), samples)
         except ValidationError:
             assume(False)
-        expected, expected_imag = _row_loop_wigner(psi, h_e)
+        expected, expected_imag = _row_loop_wigner(psi)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(market_module, "_BLOCK", block or n)
-            w = wigner(psi, h_e=h_e)
+            w = wigner(psi)
         assert w.values.tobytes() == expected.tobytes()
         assert repr(w.summary.max_imag) == repr(expected_imag)
 
@@ -349,18 +332,18 @@ def _assert_summary_is_the_grid(summary, full):
 
 class TestWignerSummary:
     @settings(max_examples=60, deadline=None)
-    @given(_WAVE_SAMPLES, st.sampled_from([TWO_PI, 1.0]), _BLOCK_WIDTHS)
-    def test_summary_is_the_grid_for_every_block_width(self, samples, h_e, block):
+    @given(_WAVE_SAMPLES, _BLOCK_WIDTHS)
+    def test_summary_is_the_grid_for_every_block_width(self, samples, block):
         n = len(samples)
         try:
             psi = WaveFunction1D.normalized(GridSpec(-8.0, 8.0, n), samples)
         except ValidationError:
             assume(False)
-        expected_imag = _row_loop_wigner(psi, h_e)[1]
+        expected_imag = _row_loop_wigner(psi)[1]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(market_module, "_BLOCK", block or n)
-            summary = wigner_summary(psi, h_e=h_e)
-            full = wigner(psi, h_e=h_e)
+            summary = wigner_summary(psi)
+            full = wigner(psi)
         _assert_summary_is_the_grid(summary, full)
         assert repr(summary.max_imag) == repr(expected_imag)
 

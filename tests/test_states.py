@@ -1,5 +1,7 @@
 """State, operator, and density-matrix plumbing."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,12 @@ from qgame import (
     matfun_hermitian,
     tensor,
 )
+from qgame import market
 from qgame.config import MAX_QUBITS
+from qgame.gates import Observable
+from qgame.pauli import tag_from_scalar
+from qgame.report import Report
+from qgame.transfer import transfer_byproduct_distribution
 
 from random_matrices import random_density, random_hermitian, random_state, random_unitary
 
@@ -68,6 +75,21 @@ def test_the_limit_is_a_fixed_eight_qubits(build):
     build(MAX_QUBITS)
     with pytest.raises(CapacityError, match=f"{MAX_QUBITS}"):
         build(MAX_QUBITS + 1)
+
+
+@pytest.mark.parametrize("fn", [
+    market.to_momentum, market.from_momentum, market.supply_cdf, market.momentum_density_at,
+    market.wigner, market.wigner_summary, market.GridSpec.conjugate, market.WignerGrid,
+    Observable, DensityOp, Operator.is_hermitian, tag_from_scalar, Report.render,
+    transfer_byproduct_distribution,
+], ids=lambda fn: fn.__qualname__)
+def test_fixed_constants_are_not_arguments(fn):
+    # h_E = 2 pi, the tolerances and the render target have one value in
+    # use, so none of them is a parameter or a parameter's default.
+    params = inspect.signature(fn).parameters.values()
+    assert all(p.default is inspect.Parameter.empty for p in params)
+    assert {"h_e", "hbar", "in_momentum_rep", "atol", "swapped"}.isdisjoint(
+        p.name for p in params)
 
 
 def test_nan_and_zero_vectors_are_rejected():

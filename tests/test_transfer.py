@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgame import ATOL_CIRCUIT, QState, ValidationError, equal_up_to_global_phase, tensor, transfer
-from qgame.gates import CNOT, GateSet, H, T, observable
+from qgame.gates import CNOT, DEFAULT_GATES, GateSet, H, T, observable
 from qgame.measure import measure
 from qgame.pauli import PauliTag, match_pauli_word, tag_from_scalar
 from qgame.states import fidelity
@@ -279,8 +279,12 @@ def test_byproduct_algebra_composes_exactly_across_two_transfers():
 
 
 def test_byproduct_distributions_are_reported_from_enumeration():
-    for swapped in (False, True):
-        law = transfer_byproduct_distribution(swapped=swapped)
+    swapped: dict[str, float] = {}
+    for row in transfer._byproducts("transfer_swapped", DEFAULT_GATES).values():
+        letter = row.tag.letters[0]
+        swapped[letter] = swapped.get(letter, 0.0) + float(np.vdot(row.branch_map[:, 0],
+                                                                    row.branch_map[:, 0]).real)
+    for law in (transfer_byproduct_distribution(), swapped):
         assert set(law) == {"I", "X", "X'", "X''"}
         # The enumerated law happens to be flat; recorded, not assumed.
         for value in law.values():
