@@ -277,9 +277,10 @@ def qfa_run(qfa: QFA, word: Sequence[str]) -> float:
     return float(np.vdot(kept, kept).real)
 
 
-# Every input file refuses JSON strings and booleans where a number belongs,
-# although float and numpy would read "8" and true as numbers.
-_NOT_NUMBERS = (str, bool)
+# Every input file refuses JSON strings, booleans and nulls where a number
+# belongs, although float and numpy would read "8" and true as numbers and
+# numpy would read null as NaN.
+_NOT_NUMBERS = (str, bool, type(None))
 
 
 def json_number(value) -> float | None:
@@ -303,7 +304,8 @@ def _entries_to_array(value, rank: int, what: str) -> np.ndarray:
     if entries.ndim not in (rank, rank + 1):
         raise ValidationError(f"{what} has unsupported shape {entries.shape}")
     if any(isinstance(entry, _NOT_NUMBERS) for entry in entries.flat):
-        raise ValidationError(f"{what} holds a string or boolean where a number belongs")
+        raise ValidationError(
+            f"{what} holds a string, boolean or null where a number belongs")
     try:
         arr = entries.astype(float)
     except (TypeError, ValueError, OverflowError) as exc:

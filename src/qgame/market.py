@@ -24,7 +24,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapacityError, GridTruncationError, ValidationError
-from .report import csv_float_line
+from .report import write_float_rows
 
 TWO_PI = 2.0 * math.pi
 
@@ -290,11 +290,14 @@ class WignerGrid:
     def marginal_p(self) -> np.ndarray:
         return self.values.sum(axis=1) * self.summary.q_step
 
-    def __iter__(self) -> Iterator[np.ndarray]:
-        """Rows of the grid's CSV table, ``[p, *values]`` as one float array
-        per p node, made one at a time so no n x (n + 1) copy is held."""
-        for p, row in zip(self.p_nodes, self.values):
-            yield np.concatenate(([p], row))
+    def __len__(self) -> int:
+        return self.p_nodes.size
+
+    def __getitem__(self, rows: slice) -> Iterator[np.ndarray]:
+        """A row range of the grid's CSV table, ``[p, *values]`` as one float
+        array per p node, made one at a time so no n x (n + 1) copy is held."""
+        return (np.concatenate(([p], row))
+                for p, row in zip(self.p_nodes[rows], self.values[rows]))
 
 
 def _p_nodes(psi: WaveFunction1D) -> np.ndarray:
@@ -380,5 +383,5 @@ def wigner_to_csv(w: WignerGrid) -> str:
     """The grid as CSV text: a ``p\\q`` header of q nodes, then one row per p node."""
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerow(["p\\q", *map(repr, w.q_nodes.tolist())])
-    out.writelines(map(csv_float_line, w))
+    write_float_rows(out, w)
     return out.getvalue()

@@ -8,15 +8,22 @@ explicitly recorded, so renderings are byte-stable for a fixed seed.
 
 CSV is written row by row into a stream, so a table whose rows are made on
 demand (the market's Wigner grid, one float array per row) is never held
-as one string.  JSON and text reports are small and built whole.
+as one string.  Float rows are formatted in one contiguous range per
+available CPU, each range but the first in a forked child, and the ranges
+are written in order, so the output is what one process would write.
+JSON and text reports are small and built whole.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
-from collections.abc import Iterable
+import os
+import shutil
+import tempfile
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TextIO
 
@@ -51,12 +58,13 @@ class CheckRecord:
 class Table:
     """Named columns plus rows of plain scalars.
 
-    ``rows`` is any iterable that can be read more than once.  A row is a
-    list of scalars or a 1-D float array.
+    ``rows`` is either a list of scalar lists, or a sequence of 1-D float
+    arrays that supports ``len`` and slicing (a slice may be any iterable
+    of its rows); the CSV writer splits the latter into row ranges.
     """
 
     columns: list[str]
-    rows: Iterable
+    rows: Sequence
 
 
 def _json_scalar(value):
@@ -119,11 +127,10 @@ class Report:
         for name, table in self.tables.items():
             writer.writerow([f"# table {name}"])
             writer.writerow(table.columns)
-            for row in table.rows:
-                if isinstance(row, np.ndarray):
-                    out.write(csv_float_line(row))
-                else:
-                    writer.writerow(map(_format, row))
+            if isinstance(next(iter(table.rows[:1]), None), np.ndarray):
+                write_float_rows(out, table.rows)
+            else:
+                writer.writerows(map(_format, row) for row in table.rows)
 
     def to_text(self) -> str:
         lines = [f"qgame {__version__} :: {self.command}"]
@@ -176,3 +183,45 @@ def csv_float_line(row: np.ndarray) -> str:
     ``_format``: no float repr (nan, inf and exponents included) needs quoting.
     """
     return ",".join(map(repr, row.tolist())) + "\n"
+
+
+def write_float_rows(out: TextIO, rows: Sequence) -> None:
+    """Write ``csv_float_line`` of every row into ``out``, in order.
+
+    The rows are split into one contiguous range per available CPU.  The
+    first range is written here; each other range is formatted by a forked
+    child into an unlinked temporary file, which is appended to ``out``
+    once every child has been reaped.  Raises ``OSError`` if a child fails.
+    """
+    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    cpus = len(os.sched_getaffinity(0)) if forks else 1
+    k = max(1, min(cpus, len(rows)))
+    ends = [len(rows) * i // k for i in range(k + 1)]
+    # Flushed before forking, so no child holds a copy of buffered output.
+    out.flush()
+    children = []
+    with contextlib.ExitStack() as spools:
+        try:
+            for start, stop in zip(ends[1:-1], ends[2:]):
+                spool = spools.enter_context(tempfile.TemporaryFile("w+"))
+                pid = os.fork()
+                if pid == 0:
+                    # os._exit: the child must not unwind into its caller's
+                    # cleanup (a test runner, a trace writer) or flush the
+                    # parent's buffers, and must print no traceback.
+                    status = 1
+                    try:
+                        spool.writelines(map(csv_float_line, rows[start:stop]))
+                        spool.flush()
+                        status = 0
+                    finally:
+                        os._exit(status)
+                children.append((pid, spool))
+            out.writelines(map(csv_float_line, rows[ends[0]:ends[1]]))
+        finally:
+            failed = [pid for pid, _ in children if os.waitpid(pid, 0)[1]]
+        if failed:
+            raise OSError(f"{len(failed)} of {k} row writers failed")
+        for _, spool in children:
+            spool.seek(0)
+            shutil.copyfileobj(spool, out)

@@ -212,6 +212,17 @@ class TestExitCodes:
         assert str(bad) in err and named in err
         assert out == ""
 
+    def test_qfa_null_entry_is_refused_as_null(self, capsys, tmp_path):
+        # numpy would read null as NaN; the message names what the file holds.
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**_FLIP, "initial": [None, 0]}))
+        code, out, err = run(capsys, ["qfa", str(bad)])
+        assert code == 2
+        assert (f"qgame qfa: {bad}: initial holds a string, boolean or null "
+                "where a number belongs") in err
+        assert "NaN" not in err
+        assert out == ""
+
     def test_unwritable_out_path_is_a_usage_error(self, capsys, tmp_path):
         target = tmp_path / "absent" / "report.json"
         code, out, err = run(capsys, ["newcomb", "--out", str(target)])

@@ -1,16 +1,25 @@
 """Report checks and rendering: the status a check derives from its numbers,
-and the float-array CSV rows against the csv module's."""
+the float-array CSV rows against the csv module's, and the row ranges that
+forked children format."""
 
+import contextlib
 import csv
 import io
 import math
+import os
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgame.report import CheckRecord, Report, Table, _format, csv_float_line
+from qgame import report
+from qgame.cli import main
+from qgame.report import CheckRecord, Report, Table, _format, csv_float_line, write_float_rows
+
+GAUSSIAN = Path(__file__).resolve().parents[1] / "docs" / "examples" / "gaussian.json"
 
 _EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
                 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308,
@@ -63,3 +72,102 @@ def test_array_rows_render_like_list_rows(rows):
 
     arrays = [np.array(row, dtype=float) for row in rows]
     assert rendered(arrays) == rendered(rows)
+
+
+def _use_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _float_rows(count):
+    rng = np.random.default_rng(count)
+    values = rng.normal(size=(count, 5)) * 10.0 ** rng.integers(-30, 30, size=(count, 5))
+    values[0, :3] = [math.nan, -math.inf, -0.0]
+    return list(values)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("count", [1, 2, 3, 7, 64])
+def test_row_ranges_join_to_the_serial_lines(monkeypatch, tmp_path, cpus, count):
+    _use_cpus(monkeypatch, cpus)
+    rows = _float_rows(count)
+    serial = "".join(map(csv_float_line, rows))
+    memory = io.StringIO()
+    write_float_rows(memory, rows)
+    assert memory.getvalue() == serial
+    path = tmp_path / "rows.csv"
+    with open(path, "w") as out:
+        out.write("# header\n")
+        write_float_rows(out, rows)
+    assert path.read_text() == "# header\n" + serial
+    _assert_no_child_left()
+
+
+def test_closed_pipe_is_an_os_error_and_leaves_no_child(monkeypatch):
+    _use_cpus(monkeypatch, 3)
+    # The first range alone (~320 KB) is more than the pipe and the stream's
+    # buffer hold, so its writes meet the closed reader.
+    rows = [np.full(8192, 0.1 * i) for i in range(6)]
+    read_end, write_end = os.pipe()
+
+    def take_one_byte_and_leave():
+        os.read(read_end, 1)
+        os.close(read_end)
+
+    reader = threading.Thread(target=take_one_byte_and_leave)
+    reader.start()
+    out = open(write_end, "w")
+    try:
+        with pytest.raises(BrokenPipeError):
+            write_float_rows(out, rows)
+    finally:
+        with contextlib.suppress(BrokenPipeError):
+            out.close()
+        reader.join(timeout=10)
+    assert not reader.is_alive()
+    _assert_no_child_left()
+
+
+def test_failing_child_is_an_os_error_with_no_output(monkeypatch, capfd):
+    _use_cpus(monkeypatch, 3)
+    rows = _float_rows(7)
+    real = csv_float_line
+
+    def fails_on_the_last_row(row):
+        if row is rows[-1]:
+            raise ValueError("cannot format this row")
+        return real(row)
+
+    monkeypatch.setattr(report, "csv_float_line", fails_on_the_last_row)
+    with pytest.raises(OSError, match="1 of 3 row writers failed"):
+        write_float_rows(io.StringIO(), rows)
+    _assert_no_child_left()
+    assert capfd.readouterr() == ("", "")
+
+
+def test_failing_child_is_exit_2_without_a_traceback(monkeypatch, capfd, tmp_path):
+    _use_cpus(monkeypatch, 2)
+    target = tmp_path / "grid.csv"
+    argv = ["market", str(GAUSSIAN), "--grid", "64", "--output", "csv", "--out", str(target)]
+    assert main(argv) == 0
+    _assert_no_child_left()
+    last_p = float(target.read_text().splitlines()[-1].split(",")[0])
+    real = csv_float_line
+
+    def fails_on_the_last_row(row):
+        if row[0] == last_p:
+            raise ValueError("cannot format this row")
+        return real(row)
+
+    monkeypatch.setattr(report, "csv_float_line", fails_on_the_last_row)
+    capfd.readouterr()
+    assert main(argv) == 2
+    _assert_no_child_left()
+    out, err = capfd.readouterr()
+    assert f"qgame market: cannot write report to {target}: " in err
+    assert "Traceback" not in err and "ValueError" not in err
+    assert out == ""
