@@ -1,6 +1,6 @@
 """Quantum game toolbox: dense simulation, measurement-driven gates, markets."""
 
-from .config import ATOL_ALGEBRA, ATOL_CIRCUIT, ATOL_QUAD, seeded_rng
+from .config import ATOL_ALGEBRA, ATOL_CIRCUIT, seeded_rng
 from .errors import (
     CapacityError,
     GridTruncationError,
@@ -23,7 +23,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ATOL_ALGEBRA",
     "ATOL_CIRCUIT",
-    "ATOL_QUAD",
     "CapacityError",
     "DensityOp",
     "GridTruncationError",

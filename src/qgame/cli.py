@@ -33,6 +33,7 @@ import numpy as np
 from .config import seeded_rng
 from .errors import QGameError, ValidationError
 from .games import (
+    BREAKERS,
     MAX_TRIALS,
     GambleParams,
     NewcombConfig,
@@ -63,8 +64,6 @@ from .report import CheckRecord, Report, Table
 from .transfer import transfer_byproduct_distribution, verify_universality
 from .walk import DEFAULT_STEP_CAP, survival_empirical, survival_model, walk_steps_batch
 from .walk import MAX_TRIALS as MAX_WALK_TRIALS
-
-_BREAKER_CHOICES = ("absent", "I", "NOT", "qutrojan")
 
 
 def cmd_verify(args) -> Report:
@@ -303,18 +302,15 @@ def cmd_market(args) -> Report:
     checks = [
         CheckRecord("wigner_normalization", norm_gap, 1e-8,
                     "phase-space mass against 1"),
-        CheckRecord("wigner_real", summary.max_imag, 1e-10,
-                    "largest imaginary residue before taking the real part"),
         CheckRecord("aliasing", 1.0 if summary.aliased else 0.0, None,
                     "1 when visible mass reaches the grid edge"),
     ]
     tables = {
         "cdf": Table(columns=["price", "demand", "supply"], rows=cdf_rows),
         "wigner_summary": Table(
-            columns=["normalization", "max_imag", "min_value", "p_step",
-                     "q_step"],
-            rows=[[summary.normalization, summary.max_imag,
-                   summary.min_value, summary.p_step, summary.q_step]]),
+            columns=["normalization", "min_value", "p_step", "q_step"],
+            rows=[[summary.normalization, summary.min_value,
+                   summary.p_step, summary.q_step]]),
     }
     report = Report("market",
                     {"strategy": args.strategy,
@@ -337,7 +333,10 @@ def cmd_qfa(args) -> Report:
     with _named(args.automaton):
         automaton = qfa_from_dict(payload)
     words = args.word if args.word else [""]
-    rows = [[word, qfa_run(automaton, list(word))] for word in words]
+    rows = []
+    for word in words:
+        with _named(f"{args.automaton}: --word {word!r}"):
+            rows.append([word, qfa_run(automaton, list(word))])
     return Report("qfa",
                   {"automaton": args.automaton, "dim": automaton.dim},
                   [], {"acceptance": Table(columns=["word", "probability"],
@@ -401,7 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                help="exact readout law of the prediction circuit")
     p_newcomb.add_argument("--control", type=int, choices=(0, 1), default=1,
                            help="upper-wire bit (default 1)")
-    p_newcomb.add_argument("--breaker", choices=_BREAKER_CHOICES,
+    p_newcomb.add_argument("--breaker", choices=BREAKERS,
                            default="absent",
                            help="lower-wire insert (default absent)")
 

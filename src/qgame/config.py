@@ -4,10 +4,9 @@ import numpy as np
 
 # Tolerance ladder.  Algebraic identities between constant matrices are held
 # to ATOL_ALGEBRA; anything built from a chain of projections and gates gets
-# ATOL_CIRCUIT; quadrature on sampled grids gets ATOL_QUAD.
+# ATOL_CIRCUIT.
 ATOL_ALGEBRA = 1e-12
 ATOL_CIRCUIT = 1e-10
-ATOL_QUAD = 1e-6
 
 # Branches (and trades) below this probability are treated as unrealizable.
 PROB_EPS = 1e-14

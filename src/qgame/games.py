@@ -20,7 +20,7 @@ from .gates import CNOT_ALLIANCE, H, I2, NOT
 from .measure import apply_gate
 from .states import Operator, QState
 
-_BREAKERS = ("absent", "I", "NOT", "qutrojan")
+BREAKERS = ("absent", "I", "NOT", "qutrojan")
 
 # Largest round count gvw_simulate takes, so that every count is an exact float.
 MAX_TRIALS = 2**53
@@ -42,9 +42,9 @@ class NewcombConfig:
     def __post_init__(self) -> None:
         if self.control not in (0, 1):
             raise ValidationError(f"control must be 0 or 1, got {self.control!r}")
-        if self.breaker not in _BREAKERS:
+        if self.breaker not in BREAKERS:
             raise ValidationError(
-                f"breaker must be one of {_BREAKERS}, got {self.breaker!r}")
+                f"breaker must be one of {BREAKERS}, got {self.breaker!r}")
 
 
 def newcomb_run(cfg: NewcombConfig) -> dict[int, float]:

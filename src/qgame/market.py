@@ -33,9 +33,10 @@ _EDGE_AMPLITUDE = 1e-12
 _ALIAS_MASS = 1e-8
 MAX_WIGNER_POINTS = 4096
 # The Wigner transform runs _BLOCK q columns at a time, so beside the n x n
-# float grid (none for a summary) it holds one (_BLOCK, n) complex block and
-# its gather temporaries, a few MB at 4096 points.  The grid's values do not
-# depend on _BLOCK; its summed mass may move in the last bit.
+# float grid (none for a summary) it holds one (_BLOCK, n/2 + 1) complex
+# block, one (_BLOCK, n) float block and their gather temporaries, a few MB
+# at 4096 points.  The grid's values do not depend on _BLOCK; its summed
+# mass may move in the last bit.
 _BLOCK = 32
 
 
@@ -255,7 +256,6 @@ class WignerSummary:
     """The reductions of a Wigner grid that the JSON and text reports print."""
 
     normalization: float
-    max_imag: float
     min_value: float
     p_step: float
     q_step: float
@@ -314,10 +314,10 @@ def _p_nodes(psi: WaveFunction1D) -> np.ndarray:
 def _transform(psi: WaveFunction1D, keep_grid: bool) -> tuple:
     """One pass over the Wigner grid, ``_BLOCK`` q columns at a time.
 
-    Returns ``(values, p_nodes, summary)``.  Each block's real part is
-    written into the n x n grid ``values`` only when ``keep_grid``, else
-    ``values`` is None.  The summary adds the blocks' sums in block order
-    and keeps the minimum and the largest |imag|, both exact in any order.
+    Returns ``(values, p_nodes, summary)``.  Each real block is written into
+    the n x n grid ``values`` only when ``keep_grid``, else ``values`` is
+    None.  The summary adds the blocks' sums in block order and keeps the
+    minimum, exact in any order.
     """
     p_nodes = _p_nodes(psi)
     grid = psi.grid
@@ -325,34 +325,30 @@ def _transform(psi: WaveFunction1D, keep_grid: bool) -> tuple:
     vec = psi.samples
     scale = 2.0 * grid.step / TWO_PI
     values = np.empty((n, n)) if keep_grid else None
-    # np.minimum and np.maximum propagate a NaN like one whole-grid reduction.
-    total, minimum, residue = 0.0, np.inf, 0.0
+    # np.minimum propagates a NaN like one whole-grid reduction.
+    total, minimum = 0.0, np.inf
     for start in range(0, n, _BLOCK):
         cols = np.arange(start, min(start + _BLOCK, n))
-        # Column j's live shifts are |m| <= min(j, n-1-j); shift m is folded
-        # to row m mod n, which lands along the block's contiguous last axis.
+        # Column j's live shifts are |m| <= min(j, n-1-j).  Shift -m is the
+        # conjugate of shift m, so only m >= 0 is filled and the Hermitian
+        # transform returns the column's real values.
         reach = np.minimum(cols, n - 1 - cols)[:, None]
         top = int(reach.max())
-        shifts = np.arange(-top, top + 1)
+        shifts = np.arange(top + 1)
         products = (vec[(cols[:, None] + shifts) % n]
                     * np.conj(vec[(cols[:, None] - shifts) % n]))
-        products[np.abs(shifts) > reach] = 0.0
-        block = np.zeros((cols.size, n), dtype=complex)
-        block[:, :top + 1] = products[:, top:]
-        block[:, n - top:] = products[:, :top]
+        products[shifts > reach] = 0.0
+        block = np.zeros((cols.size, n // 2 + 1), dtype=complex)
+        block[:, :top + 1] = products
         block[:, 1::2] *= -1.0
-        np.fft.fft(block, axis=1, out=block)
-        block *= scale
-        real = block.real
+        real = np.fft.hfft(block, n, axis=1) * scale
         if values is not None:
             values[:, start:start + cols.size] = real.T
         total += real.sum()
         minimum = np.minimum(minimum, real.min())
-        residue = np.maximum(residue, np.max(np.abs(block.imag)))
     p_step, q_step = _step(p_nodes), _step(grid.nodes())
     return values, p_nodes, WignerSummary(
         normalization=float(total * p_step * q_step),
-        max_imag=float(residue),
         min_value=float(minimum),
         p_step=p_step,
         q_step=q_step,
@@ -364,11 +360,12 @@ def wigner(psi: WaveFunction1D) -> WignerGrid:
     """Discrete Wigner transform of a strategy.
 
     Follows the shifted-product form with offsets x = 2m * step so both
-    shifted arguments stay on the grid; the transform over m is folded to
-    length n and done with one FFT per column.  Columns are transformed
-    ``_BLOCK`` at a time, so the only n x n array is the real grid returned.
-    The grid's summary records the worst imaginary residue and flags
-    strategies carrying visible mass at the grid edge as aliased.
+    shifted arguments stay on the grid.  Each column's shifted products are
+    a Hermitian sequence in m, so the transform over m is one length-n
+    Hermitian FFT per column, which returns a real block.  Columns are
+    transformed ``_BLOCK`` at a time, so the only n x n array is the real
+    grid returned.  The grid's summary flags strategies carrying visible
+    mass at the grid edge as aliased.
     """
     values, p_nodes, summary = _transform(psi, keep_grid=True)
     return WignerGrid(values, p_nodes, psi.grid.nodes(), summary)

@@ -727,9 +727,9 @@ class TestMarketCommand:
 
     def test_wigner_checks_pass(self, capsys):
         _, payload = run_json(capsys, ["market", GAUSSIAN])
-        by_name = {c["name"]: c for c in payload["checks"]}
-        assert by_name["wigner_normalization"]["status"] == "pass"
-        assert by_name["wigner_real"]["status"] == "pass"
+        assert [c["name"] for c in payload["checks"]] == [
+            "wigner_normalization", "aliasing"]
+        assert payload["checks"][0]["status"] == "pass"
 
     def test_csv_rendering_appends_full_grid(self, capsys):
         code, out, _ = run(capsys, ["market", GAUSSIAN, "--grid", "64",
@@ -804,6 +804,13 @@ class TestQfaCommand:
         _, payload = run_json(capsys, ["qfa", AUTOMATON])
         rows = payload["tables"]["acceptance"]["rows"]
         assert rows == [["", pytest.approx(0.0, abs=1e-12)]]
+
+    def test_unknown_symbol_names_the_file_and_the_word(self, capsys):
+        code, out, err = run(capsys, ["qfa", AUTOMATON, "--word", "a", "--word", "ab"])
+        assert code == 2
+        assert err == (f"qgame qfa: {AUTOMATON}: --word 'ab': "
+                       "symbol 'b' is not in the alphabet\n")
+        assert out == ""
 
     def test_shared_parser_keeps_no_words_between_runs(self, capsys):
         assert _build_parser() is _build_parser()

