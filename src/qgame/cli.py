@@ -30,11 +30,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import seeded_rng
+from .config import MAX_TRIALS, seeded_rng
 from .errors import QGameError, ValidationError
 from .games import (
     BREAKERS,
-    MAX_TRIALS,
     GambleParams,
     NewcombConfig,
     gvw_audit_response,
@@ -63,7 +62,6 @@ from .market import (
 from .report import CheckRecord, Report, Table
 from .transfer import transfer_byproduct_distribution, verify_universality
 from .walk import DEFAULT_STEP_CAP, survival_empirical, survival_model, walk_steps_batch
-from .walk import MAX_TRIALS as MAX_WALK_TRIALS
 
 
 def cmd_verify(args) -> Report:
@@ -96,10 +94,14 @@ def cmd_newcomb(args) -> Report:
                   [], {"readout": table})
 
 
-def cmd_gamble(args) -> Report:
-    if not 1 <= args.trials <= MAX_TRIALS:
+def _check_trials(trials: int) -> None:
+    if not 1 <= trials <= MAX_TRIALS:
         raise ValidationError(f"--trials must be from 1 to {MAX_TRIALS} (2**53), the "
-                              f"sampler's cap, got {args.trials}")
+                              f"sampler's cap, got {trials}")
+
+
+def cmd_gamble(args) -> Report:
+    _check_trials(args.trials)
     params = GambleParams(theta=args.theta, p_verify=args.p_verify,
                           reward=args.reward)
     exact_bob, exact_alice = gvw_expected_payoffs(params)
@@ -155,9 +157,7 @@ def cmd_gamble(args) -> Report:
 
 
 def cmd_walk(args) -> Report:
-    if not 1 <= args.trials <= MAX_WALK_TRIALS:
-        raise ValidationError(f"--trials must be from 1 to {MAX_WALK_TRIALS}, the walk "
-                              f"sampler's cap, got {args.trials}")
+    _check_trials(args.trials)
     if not 1 <= args.n_max <= DEFAULT_STEP_CAP:
         raise ValidationError(f"--n-max must be from 1 to {DEFAULT_STEP_CAP}, the walk's "
                               f"step cap, got {args.n_max}")

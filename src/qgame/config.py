@@ -15,6 +15,9 @@ PROB_EPS = 1e-14
 # wires and Pauli-word matching stops at 4.
 MAX_QUBITS = 8
 
+# Largest trial count a sampler takes, so that every count is an exact float.
+MAX_TRIALS = 2**53
+
 
 def seeded_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Deterministic generator for stream ``stream`` of a run seeded by ``seed``.

@@ -15,15 +15,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import MAX_TRIALS
 from .errors import ValidationError
 from .gates import CNOT_ALLIANCE, H, I2, NOT
 from .measure import apply_gate
 from .states import Operator, QState
 
 BREAKERS = ("absent", "I", "NOT", "qutrojan")
-
-# Largest round count gvw_simulate takes, so that every count is an exact float.
-MAX_TRIALS = 2**53
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgame.cli import _build_parser, main
-from qgame.walk import MAX_TRIALS as WALK_MAX_TRIALS
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = ROOT / "docs"
@@ -380,15 +379,14 @@ def _parser_arguments() -> dict:
 
 _ARGUMENTS = _parser_arguments()
 _ARGV_JUNK = ["-1", "0", "1", "7", "-0.5", "0.25", "64", "256", "10000",
-              "10000001", "99999999999999999999", "1e400", "-1e308", "nan", "inf", "-inf",
-              "abc", "", "json", "csv", "a", "I", "hnh"]
+              "10000001", "9007199254740992", "9007199254740993", "99999999999999999999",
+              "1e400", "-1e308", "nan", "inf", "-inf", "abc", "", "json", "csv", "a", "I",
+              "hnh"]
 _INPUT_FILES = [GAUSSIAN, WAVE, AUTOMATON, str(ROOT / "absent.json"), ""]
 # Sizes stay small, so that no example allocates a large array.  --n-max is
 # drawn whole: past the walk's step cap it is refused before any work.  So is
-# a --trials past the walk sampler's cap, while gamble's cost does not depend
-# on --trials, so only the band between the limit and that cap is left out.
-_SIZE_LIMITS = {"--trials": 10_000, "--grid": 256}
-_REFUSED_ABOVE = {"--trials": WALK_MAX_TRIALS}
+# --trials, whose cost in walk and gamble does not depend on its value.
+_SIZE_LIMITS = {"--grid": 256}
 
 
 def _too_big(flag: str, value: str) -> bool:
@@ -396,7 +394,7 @@ def _too_big(flag: str, value: str) -> bool:
         size = abs(float(value))
     except ValueError:
         return False
-    return _SIZE_LIMITS.get(flag, float("inf")) < size <= _REFUSED_ABOVE.get(flag, float("inf"))
+    return _SIZE_LIMITS.get(flag, float("inf")) < size
 
 
 @st.composite
@@ -677,12 +675,18 @@ class TestWalkCommand:
         assert rows[0][1] == 1.0
         assert rows[1][1] == 0.75
 
-    @pytest.mark.parametrize("trials", ["10000001", "10000000000000000000"])
+    @pytest.mark.parametrize("trials", ["9007199254740993", "10000000000000000000"])
     def test_trials_past_the_sampler_cap_are_refused_by_name(self, capsys, trials):
         code, out, err = run(capsys, ["walk", "--trials", trials])
         assert code == 2
-        assert "--trials" in err and "10000000" in err and "Traceback" not in err
+        assert "--trials" in err and "9007199254740992" in err and "Traceback" not in err
         assert out == ""
+
+    def test_trials_at_the_sampler_cap_pass_both_checks(self, capsys):
+        code, payload = run_json(capsys, ["walk", "--trials", "9007199254740992"])
+        assert code == 0
+        assert payload["config"]["trials"] == 2**53
+        assert [c["status"] for c in payload["checks"]] == ["pass", "pass"]
 
     @pytest.mark.parametrize("n_max", ["10001", "99999999999999999999"])
     def test_horizon_past_the_step_cap_is_refused_by_name(self, capsys, n_max):
@@ -692,8 +696,8 @@ class TestWalkCommand:
         assert out == ""
 
     def test_ten_million_trials_peak_below_80_mb(self):
-        # Only the walks pending after a window keep a byte each; one int64
-        # step count per trial would alone be 80 MB here.
+        # The sampler keeps four per-code counts; one int64 step count per
+        # trial would alone be 80 MB here.
         assert _peak_mb("walk", "--trials", "10000000", "--output", "json") < 80.0
 
 

@@ -1,12 +1,12 @@
 """Random-walk correction draws against the geometric model."""
 
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from qgame import StepCapError, ValidationError
-from qgame import walk as walk_module
 from qgame.pauli import LETTERS, PauliTag
 from qgame.walk import (
     DEFAULT_STEP_CAP,
@@ -90,6 +90,48 @@ def test_single_and_batch_walkers_agree_in_distribution():
     assert abs(singles.mean() - _mean_steps(batch)) < 4 * sigma * np.sqrt(2)
 
 
+# Two-sample chi-square of step counts in bins 1, 2, ..., 8 and 9 or more:
+# 8 degrees of freedom, whose 0.999 quantile is 26.12.
+_CHI2_BINS = 9
+_CHI2_BOUND = 26.12
+
+
+def _binned(steps_histogram):
+    binned = steps_histogram[1:_CHI2_BINS + 1].astype(float)
+    binned[-1] = steps_histogram[_CHI2_BINS:].sum()
+    return binned
+
+
+def _two_sample_chi2(first, second):
+    n, m = first.sum(), second.sum()
+    scale_first, scale_second = np.sqrt(m / n), np.sqrt(n / m)
+    return float(np.sum((scale_first * first - scale_second * second) ** 2
+                        / (first + second)))
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_histogram(target):
+    rng = np.random.default_rng(27182)
+    return np.bincount([_reference_steps(target, rng) for _ in range(20_000)])
+
+
+@pytest.mark.parametrize("target", ["X", "X'", "X''"])
+@pytest.mark.parametrize("layout", ["one_batch", "single_walk_per_seed"])
+def test_histogram_matches_the_reference_walk_in_distribution(target, layout):
+    # _reference_steps composes PauliTags one letter at a time, with no XOR
+    # codes and no counts, so it checks the sampler's law independently.
+    if layout == "one_batch":
+        samples = 20_000
+        counts = walk_steps_batch(target, np.random.default_rng(31415), samples)
+    else:
+        samples = 4000
+        counts = sum(walk_steps_batch(target, np.random.default_rng(seed), 1)
+                     for seed in range(samples))
+    assert counts[0] == 0 and counts.sum() == samples
+    statistic = _two_sample_chi2(_binned(counts), _binned(_reference_histogram(target)))
+    assert statistic < _CHI2_BOUND
+
+
 def test_step_cap_raises_a_structured_error():
     # Seed 2's first letter is not X, so a single walk capped at one step
     # misses; seed 1's first letter is X.
@@ -107,89 +149,6 @@ def test_batch_step_cap_raises_when_exhausted():
     assert excinfo.value.steps == 1
 
 
-def _batch_with_block(monkeypatch, block, window, step_cap):
-    """Step histogram (or the cap error) and the generator state after one batch."""
-    monkeypatch.setattr(walk_module, "_BLOCK", block)
-    monkeypatch.setattr(walk_module, "_WINDOW", window)
-    rng = np.random.default_rng(2718)
-    try:
-        result = walk_steps_batch("X", rng, TRIALS, step_cap=step_cap)
-    except StepCapError as exc:
-        result = (str(exc), exc.steps)
-    return result, rng.bit_generator.state
-
-
-@pytest.mark.parametrize("window, step_cap, capped", [
-    pytest.param(walk_module._WINDOW, DEFAULT_STEP_CAP, False, id="uncapped"),
-    pytest.param(walk_module._WINDOW, 5, True, id="cap5"),
-    # Windows of 7 steps: several windows, a last one 2 steps wide, then the cap.
-    pytest.param(7, 30, True, id="window7-cap30"),
-])
-def test_batch_does_not_depend_on_the_block_size(monkeypatch, window, step_cap, capped):
-    # Block draws continue one stream, so only the window fixes the draw order.
-    runs = [_batch_with_block(monkeypatch, block, window, step_cap)
-            for block in (3, 1000, walk_module._BLOCK)]
-    (first, state), rest = runs[0], runs[1:]
-    assert isinstance(first, tuple) == capped
-    for result, other_state in rest:
-        if capped:
-            assert result == first
-        else:
-            np.testing.assert_array_equal(result, first)
-        assert other_state == state
-
-
-def _per_trial_reference(goal_code, rng, trials, step_cap):
-    """The step count of every walk, kept by trial index: the same windows of
-    draws, block by block over the pending walks in trial order."""
-    steps = np.zeros(trials, dtype=np.int64)
-    pending = np.arange(trials)
-    carry = np.zeros(trials, dtype=np.int64)
-    offset = 0
-    while pending.size and offset < step_cap:
-        width = min(walk_module._WINDOW, step_cap - offset)
-        survivors = []
-        for start in range(0, pending.size, walk_module._BLOCK):
-            rows = pending[start:start + walk_module._BLOCK]
-            running = rng.integers(4, size=(rows.size, width))
-            running = np.bitwise_xor.accumulate(running, axis=1) ^ carry[rows, None]
-            hits = running == goal_code
-            any_hit = hits.any(axis=1)
-            steps[rows[any_hit]] = offset + np.argmax(hits, axis=1)[any_hit] + 1
-            carry[rows] = running[:, -1]
-            survivors.append(rows[~any_hit])
-        pending = np.concatenate(survivors)
-        offset += width
-    return steps, pending.size
-
-
-@pytest.mark.parametrize("trials, block, window, step_cap", [
-    (1, walk_module._BLOCK, walk_module._WINDOW, DEFAULT_STEP_CAP),
-    (1000, 7, walk_module._WINDOW, DEFAULT_STEP_CAP),
-    (TRIALS, walk_module._BLOCK, walk_module._WINDOW, DEFAULT_STEP_CAP),
-    (TRIALS, 1000, 3, 40),
-    (TRIALS, walk_module._BLOCK, walk_module._WINDOW, 20),
-])
-def test_histogram_is_the_per_trial_walk_binned(monkeypatch, trials, block, window,
-                                                step_cap):
-    # The pending walks' codes, kept in trial order without their indices,
-    # continue the same draws: the same histogram and generator end state.
-    monkeypatch.setattr(walk_module, "_BLOCK", block)
-    monkeypatch.setattr(walk_module, "_WINDOW", window)
-    rng, reference_rng = np.random.default_rng(99), np.random.default_rng(99)
-    steps, missed = _per_trial_reference(LETTERS.index("X"), reference_rng,
-                                         trials, step_cap)
-    try:
-        counts = walk_steps_batch("X", rng, trials, step_cap=step_cap)
-    except StepCapError as exc:
-        assert str(exc).startswith(f"{missed} of {trials} walks missed")
-    else:
-        assert missed == 0
-        np.testing.assert_array_equal(
-            counts, np.bincount(steps, minlength=step_cap + 1))
-    assert rng.bit_generator.state == reference_rng.bit_generator.state
-
-
 def _traced_peak(trials):
     tracemalloc.start()
     try:
@@ -200,9 +159,16 @@ def _traced_peak(trials):
 
 
 def test_batch_memory_does_not_grow_with_trials():
-    # One block of draws plus one byte per walk that outlives a window, about
-    # 10**5 bytes at 10**6 trials; per-trial bookkeeping would add megabytes.
-    assert abs(_traced_peak(10**6) - _traced_peak(10**5)) < 10**6
+    # The sampler holds four per-code counts and the histogram, whatever the
+    # trial count; one byte per walk would be 9 PB at 2**53 trials.
+    assert abs(_traced_peak(2**53) - _traced_peak(10**6)) < 10**6
+
+
+@pytest.mark.parametrize("trials", [1, 10**6, 2**53])
+def test_histogram_sums_to_the_trial_count(trials):
+    counts = walk_steps_batch("X''", np.random.default_rng(6), trials)
+    assert counts.dtype == np.int64
+    assert int(counts.sum()) == trials
 
 
 def test_bad_targets_and_caps_are_rejected():
