@@ -169,8 +169,7 @@ def cmd_walk(args) -> Report:
     for n in range(args.n_max + 1):
         sigma = math.sqrt(max(model[n] * (1.0 - model[n]), 1e-300) / args.trials)
         gap = abs(empirical[n] - model[n])
-        if sigma > 0:
-            worst_sigma = max(worst_sigma, gap / sigma)
+        worst_sigma = max(worst_sigma, gap / sigma)
         rows.append([n, float(model[n]), float(empirical[n]),
                      float(empirical[n] - model[n])])
     first_step = float(counts[1]) / args.trials
@@ -316,16 +315,11 @@ def cmd_market(args) -> Report:
                     {"strategy": args.strategy,
                      "n_points": psi.grid.n_points}, checks, tables)
     if grid_view is not None:
-        report.tables["wigner_grid"] = _wigner_as_table(grid_view)
+        # Rows follow p, columns follow q: the grid's [p | values] table.
+        report.tables["wigner_grid"] = Table(
+            columns=["p\\q", *map(repr, grid_view.q_nodes.tolist())],
+            rows=grid_view.table)
     return report
-
-
-def _wigner_as_table(grid_view) -> Table:
-    """The grid as a table: rows follow p, columns follow q.  The grid itself
-    is the rows, one ``[p, *values]`` float array per p node, made as the
-    report is written."""
-    return Table(columns=["p\\q", *map(repr, grid_view.q_nodes.tolist())],
-                 rows=grid_view)
 
 
 def cmd_qfa(args) -> Report:

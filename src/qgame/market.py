@@ -19,7 +19,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -272,14 +271,23 @@ class WignerGrid:
 
     Rows follow p, columns follow q.  The p lattice is twice as fine as
     the Fourier-dual grid over half its span; that choice makes the
-    q-marginal land exactly on the sampled density.  ``summary`` holds the
-    reductions taken while the grid was built.
+    q-marginal land exactly on the sampled density.  ``table`` is the
+    grid's CSV table ``[p | values]``: column 0 holds the p nodes, the
+    other columns the values.  ``summary`` holds the reductions taken
+    while the grid was built.
     """
 
-    values: np.ndarray
-    p_nodes: np.ndarray
+    table: np.ndarray
     q_nodes: np.ndarray
     summary: WignerSummary
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.table[:, 1:]
+
+    @property
+    def p_nodes(self) -> np.ndarray:
+        return self.table[:, 0]
 
     def normalization(self) -> float:
         return self.summary.normalization
@@ -289,15 +297,6 @@ class WignerGrid:
 
     def marginal_p(self) -> np.ndarray:
         return self.values.sum(axis=1) * self.summary.q_step
-
-    def __len__(self) -> int:
-        return self.p_nodes.size
-
-    def __getitem__(self, rows: slice) -> Iterator[np.ndarray]:
-        """A row range of the grid's CSV table, ``[p, *values]`` as one float
-        array per p node, made one at a time so no n x (n + 1) copy is held."""
-        return (np.concatenate(([p], row))
-                for p, row in zip(self.p_nodes[rows], self.values[rows]))
 
 
 def _p_nodes(psi: WaveFunction1D) -> np.ndarray:
@@ -314,17 +313,20 @@ def _p_nodes(psi: WaveFunction1D) -> np.ndarray:
 def _transform(psi: WaveFunction1D, keep_grid: bool) -> tuple:
     """One pass over the Wigner grid, ``_BLOCK`` q columns at a time.
 
-    Returns ``(values, p_nodes, summary)``.  Each real block is written into
-    the n x n grid ``values`` only when ``keep_grid``, else ``values`` is
-    None.  The summary adds the blocks' sums in block order and keeps the
-    minimum, exact in any order.
+    Returns ``(table, summary)``.  With ``keep_grid``, ``table`` is the
+    n x (n + 1) table ``[p | values]``: the p nodes in column 0 and each
+    real block written after them; else it is None.  The summary adds the
+    blocks' sums in block order and keeps the minimum, exact in any order.
     """
     p_nodes = _p_nodes(psi)
     grid = psi.grid
     n = grid.n_points
     vec = psi.samples
     scale = 2.0 * grid.step / TWO_PI
-    values = np.empty((n, n)) if keep_grid else None
+    table = None
+    if keep_grid:
+        table = np.empty((n, n + 1))
+        table[:, 0] = p_nodes
     # np.minimum propagates a NaN like one whole-grid reduction.
     total, minimum = 0.0, np.inf
     for start in range(0, n, _BLOCK):
@@ -342,12 +344,12 @@ def _transform(psi: WaveFunction1D, keep_grid: bool) -> tuple:
         block[:, :top + 1] = products
         block[:, 1::2] *= -1.0
         real = np.fft.hfft(block, n, axis=1) * scale
-        if values is not None:
-            values[:, start:start + cols.size] = real.T
+        if table is not None:
+            table[:, 1 + start:1 + start + cols.size] = real.T
         total += real.sum()
         minimum = np.minimum(minimum, real.min())
     p_step, q_step = _step(p_nodes), _step(grid.nodes())
-    return values, p_nodes, WignerSummary(
+    return table, WignerSummary(
         normalization=float(total * p_step * q_step),
         min_value=float(minimum),
         p_step=p_step,
@@ -364,21 +366,21 @@ def wigner(psi: WaveFunction1D) -> WignerGrid:
     a Hermitian sequence in m, so the transform over m is one length-n
     Hermitian FFT per column, which returns a real block.  Columns are
     transformed ``_BLOCK`` at a time, so the only n x n array is the real
-    grid returned.  The grid's summary flags strategies carrying visible
-    mass at the grid edge as aliased.
+    grid returned, held with its p nodes as one table.  The grid's summary
+    flags strategies carrying visible mass at the grid edge as aliased.
     """
-    values, p_nodes, summary = _transform(psi, keep_grid=True)
-    return WignerGrid(values, p_nodes, psi.grid.nodes(), summary)
+    table, summary = _transform(psi, keep_grid=True)
+    return WignerGrid(table, psi.grid.nodes(), summary)
 
 
 def wigner_summary(psi: WaveFunction1D) -> WignerSummary:
     """``wigner(psi).summary``, bit for bit, without the n x n grid."""
-    return _transform(psi, keep_grid=False)[2]
+    return _transform(psi, keep_grid=False)[1]
 
 
 def wigner_to_csv(w: WignerGrid) -> str:
     """The grid as CSV text: a ``p\\q`` header of q nodes, then one row per p node."""
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerow(["p\\q", *map(repr, w.q_nodes.tolist())])
-    write_float_rows(out, w)
+    write_float_rows(out, w.table)
     return out.getvalue()

@@ -6,12 +6,13 @@ the canonical rendering; CSV and text are derived views with stable column
 and section order.  Nothing here consults the clock unless a wall time was
 explicitly recorded, so renderings are byte-stable for a fixed seed.
 
-CSV is written row by row into a stream, so a table whose rows are made on
-demand (the market's Wigner grid, one float array per row) is never held
-as one string.  Float rows are formatted in one contiguous range per
-available CPU, each range but the first in a forked child, and the ranges
-are written in order, so the output is what one process would write.
-JSON and text reports are small and built whole.
+CSV is written row by row into a stream, so a large table (the market's
+Wigner grid, one 2-D float array ``[p | values]``) is never held as one
+string.  A float array's rows are formatted in one contiguous range per
+available CPU, each range but the first in a spawned child process that
+imports only the standard library, and the ranges are written in order,
+so the output is what one process would write.  JSON and text reports are
+small and built whole.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import json
 import math
 import os
 import shutil
+import sys
 import tempfile
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -58,9 +60,8 @@ class CheckRecord:
 class Table:
     """Named columns plus rows of plain scalars.
 
-    ``rows`` is either a list of scalar lists, or a sequence of 1-D float
-    arrays that supports ``len`` and slicing (a slice may be any iterable
-    of its rows); the CSV writer splits the latter into row ranges.
+    ``rows`` is either a list of scalar lists, or a C-contiguous 2-D float64
+    array, which the CSV writer splits into row ranges.
     """
 
     columns: list[str]
@@ -127,7 +128,7 @@ class Report:
         for name, table in self.tables.items():
             writer.writerow([f"# table {name}"])
             writer.writerow(table.columns)
-            if isinstance(next(iter(table.rows[:1]), None), np.ndarray):
+            if isinstance(table.rows, np.ndarray):
                 write_float_rows(out, table.rows)
             else:
                 writer.writerows(map(_format, row) for row in table.rows)
@@ -185,43 +186,55 @@ def csv_float_line(row: np.ndarray) -> str:
     return ",".join(map(repr, row.tolist())) + "\n"
 
 
-def write_float_rows(out: TextIO, rows: Sequence) -> None:
-    """Write ``csv_float_line`` of every row into ``out``, in order.
+# The program of a child that formats one row range: raw float64 rows of
+# argv[1] values each on stdin, one csv_float_line per row on stdout.  It
+# imports only the standard library and holds one row at a time; repr of a
+# double is the text that csv_float_line writes for it.
+_FORMAT_ROWS = """\
+import sys
+from array import array
+width = int(sys.argv[1])
+while row := sys.stdin.buffer.read(8 * width):
+    sys.stdout.write(",".join(map(repr, array("d", row))) + "\\n")
+"""
+
+
+def write_float_rows(out: TextIO, rows: np.ndarray) -> None:
+    """Write ``csv_float_line`` of every row of a C-contiguous 2-D float64
+    array into ``out``, in order.
 
     The rows are split into one contiguous range per available CPU.  The
-    first range is written here; each other range is formatted by a forked
-    child into an unlinked temporary file, which is appended to ``out``
-    once every child has been reaped.  Raises ``OSError`` if a child fails.
+    first range is written here; each other range is handed to a spawned
+    child as raw bytes in an unlinked temporary file, and the child's text
+    goes to another, which is appended to ``out`` once every child has
+    exited.  Raises ``OSError`` if a child cannot be started or fails.
     """
-    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    cpus = len(os.sched_getaffinity(0)) if forks else 1
+    # Imported here, not at module level: it would add ~8 ms to every
+    # ``import qgame.cli``, and only a CSV float table needs it.
+    import subprocess
+
+    spawns = hasattr(os, "sched_getaffinity") and sys.executable
+    cpus = len(os.sched_getaffinity(0)) if spawns else 1
     k = max(1, min(cpus, len(rows)))
     ends = [len(rows) * i // k for i in range(k + 1)]
-    # Flushed before forking, so no child holds a copy of buffered output.
-    out.flush()
-    children = []
-    with contextlib.ExitStack() as spools:
-        try:
-            for start, stop in zip(ends[1:-1], ends[2:]):
-                spool = spools.enter_context(tempfile.TemporaryFile("w+"))
-                pid = os.fork()
-                if pid == 0:
-                    # os._exit: the child must not unwind into its caller's
-                    # cleanup (a test runner, a trace writer) or flush the
-                    # parent's buffers, and must print no traceback.
-                    status = 1
-                    try:
-                        spool.writelines(map(csv_float_line, rows[start:stop]))
-                        spool.flush()
-                        status = 0
-                    finally:
-                        os._exit(status)
-                children.append((pid, spool))
-            out.writelines(map(csv_float_line, rows[ends[0]:ends[1]]))
-        finally:
-            failed = [pid for pid, _ in children if os.waitpid(pid, 0)[1]]
+    with contextlib.ExitStack() as stack:
+        children = []
+        for start, stop in zip(ends[1:-1], ends[2:]):
+            spool = stack.enter_context(tempfile.TemporaryFile("w+"))
+            with tempfile.TemporaryFile() as source:
+                rows[start:stop].tofile(source)
+                source.seek(0)
+                # Entered into the stack, so every child is waited for even
+                # when writing the first range raises; stderr is dropped, so
+                # a failing child prints nothing.
+                child = stack.enter_context(subprocess.Popen(
+                    [sys.executable, "-I", "-S", "-c", _FORMAT_ROWS, str(rows.shape[1])],
+                    stdin=source, stdout=spool, stderr=subprocess.DEVNULL))
+            children.append((child, spool))
+        out.writelines(map(csv_float_line, rows[ends[0]:ends[1]]))
+        failed = sum(child.wait() != 0 for child, _ in children)
         if failed:
-            raise OSError(f"{len(failed)} of {k} row writers failed")
+            raise OSError(f"{failed} of {k} row writers failed")
         for _, spool in children:
             spool.seek(0)
             shutil.copyfileobj(spool, out)

@@ -76,30 +76,16 @@ def _masses(block: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", block.conj(), block).real
 
 
-@dataclass(frozen=True)
-class _Stack:
-    """Every branch of a runner call as one column group of a shared array.
-
-    ``amps[:, p, c]`` is column c of the register block in branch ``signs[p]``,
-    unnormalized, and ``mass[p, c]`` its probability.  Iterating yields the
-    branches one at a time as (signs, masses, amplitudes)."""
-
-    signs: tuple[tuple[int, ...], ...]
-    mass: np.ndarray   # (P, k)
-    amps: np.ndarray   # (2**m, P, k)
-
-    def __iter__(self):
-        return zip(self.signs, self.mass, self.amps.transpose(1, 0, 2))
-
-
-def _run_chain(block: np.ndarray, n: int, steps, consumed=None) -> _Stack:
+def _run_chain(block: np.ndarray, n: int, steps, consumed=None) -> list:
     """Walk a step chain over a block of registers, branching at measurements.
 
     ``block`` has shape ``(2**n, k)``: k registers as columns.  Every live
     branch rides along as a group of k columns of one array, so each gate is
     one kernel call and each measurement one call per outcome sign, however
     many branches there are; the children of a branch follow it in +1, -1
-    order.  Returns every branch as a :class:`_Stack`.  A branch is dropped
+    order.  Returns every branch as a ``(signs, masses, amplitudes)`` triple:
+    ``amplitudes[:, c]`` is column c of the register block in that branch,
+    unnormalized, and ``masses[c]`` its probability.  A branch is dropped
     when every column's mass falls below PROB_EPS at a measurement; a column
     below it in a kept branch is zeroed there, mass 0, as if that outcome
     could not occur for it.  ``consumed = (wire, j)`` drops ``wire``, which
@@ -143,14 +129,15 @@ def _run_chain(block: np.ndarray, n: int, steps, consumed=None) -> _Stack:
                 f"wire {wire} is still entangled with the register "
                 f"(mass {mass[b]:.3e} -> {kept[b]:.3e}); cannot discard it")
     shape = (len(signs), k)
-    return _Stack(tuple(signs), mass.reshape(shape), amps.reshape(amps.shape[:1] + shape))
+    return list(zip(signs, mass.reshape(shape),
+                    amps.reshape(amps.shape[:1] + shape).transpose(1, 0, 2)))
 
 
 def _branches(state: QState, steps, package, consumed=None) -> list:
     """Each branch on the caller's register as ``package(signs, prob, state)``."""
-    stack = _run_chain(state.amplitudes[:, None], state.n_qubits, steps, consumed)
+    branches = _run_chain(state.amplitudes[:, None], state.n_qubits, steps, consumed)
     return [package(signs, float(mass[0]), QState(v[:, 0] / np.sqrt(mass[0])))
-            for signs, mass, v in stack]
+            for signs, mass, v in branches]
 
 
 @dataclass(frozen=True)
@@ -189,7 +176,7 @@ class _Chain:
         block[index] = np.reshape(amps, (2,) * len(self.input_wires) + (k,))
         return block.reshape(-1, k)
 
-    def replay(self, read: dict, amps: np.ndarray) -> _Stack:
+    def replay(self, read: dict, amps: np.ndarray) -> list:
         """Every branch of the chain on its canonical register for a block of
         logical inputs, as ``_run_chain`` returns them."""
         steps = self.bind(read, {w: w for w in self.wires})
@@ -235,8 +222,8 @@ _CHAINS = {
 
 def _branch_maps(chain: _Chain, read: dict) -> dict[tuple[int, ...], np.ndarray]:
     """Linear map of each branch on the logical input, one column per basis state."""
-    stack = chain.replay(read, np.eye(2 ** len(chain.input_wires)))
-    return {signs: mat for signs, _, mat in stack}
+    branches = chain.replay(read, np.eye(2 ** len(chain.input_wires)))
+    return {signs: mat for signs, _, mat in branches}
 
 
 class _Byproduct(NamedTuple):

@@ -1,6 +1,7 @@
 """Report checks and rendering: the status a check derives from its numbers,
-the float-array CSV rows against the csv module's, and the row ranges that
-forked children format."""
+the float-array CSV rows against the csv module's, and the row ranges of a
+2-D float array (such as the market's ``[p | values]`` grid) that spawned
+standard-library children format."""
 
 import contextlib
 import csv
@@ -70,8 +71,7 @@ def test_array_rows_render_like_list_rows(rows):
         Report("grid", {}, [], {"t": Table(["a", "b", "c"], table_rows)}).render("csv", out)
         return out.getvalue()
 
-    arrays = [np.array(row, dtype=float) for row in rows]
-    assert rendered(arrays) == rendered(rows)
+    assert rendered(np.array(rows, dtype=float)) == rendered(rows)
 
 
 def _use_cpus(monkeypatch, count):
@@ -87,7 +87,7 @@ def _float_rows(count):
     rng = np.random.default_rng(count)
     values = rng.normal(size=(count, 5)) * 10.0 ** rng.integers(-30, 30, size=(count, 5))
     values[0, :3] = [math.nan, -math.inf, -0.0]
-    return list(values)
+    return values
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -111,7 +111,7 @@ def test_closed_pipe_is_an_os_error_and_leaves_no_child(monkeypatch):
     _use_cpus(monkeypatch, 3)
     # The first range alone (~320 KB) is more than the pipe and the stream's
     # buffer hold, so its writes meet the closed reader.
-    rows = [np.full(8192, 0.1 * i) for i in range(6)]
+    rows = np.array([np.full(8192, 0.1 * i) for i in range(6)])
     read_end, write_end = os.pipe()
 
     def take_one_byte_and_leave():
@@ -132,17 +132,22 @@ def test_closed_pipe_is_an_os_error_and_leaves_no_child(monkeypatch):
     _assert_no_child_left()
 
 
+def _fail_on_value(monkeypatch, value):
+    """Make a child raise when it formats ``value``: its program's ``repr``
+    is shadowed by one that refuses it.  The parent's first range is
+    formatted by ``csv_float_line`` and never fails."""
+    refuse = (f"def repr(x, real=repr):\n"
+              f"    if x == {value!r}:\n"
+              f"        raise ValueError('cannot format this row')\n"
+              f"    return real(x)\n")
+    monkeypatch.setattr(report, "_FORMAT_ROWS", refuse + report._FORMAT_ROWS)
+
+
 def test_failing_child_is_an_os_error_with_no_output(monkeypatch, capfd):
     _use_cpus(monkeypatch, 3)
     rows = _float_rows(7)
-    real = csv_float_line
-
-    def fails_on_the_last_row(row):
-        if row is rows[-1]:
-            raise ValueError("cannot format this row")
-        return real(row)
-
-    monkeypatch.setattr(report, "csv_float_line", fails_on_the_last_row)
+    # Only the last range's child sees the last row's final value.
+    _fail_on_value(monkeypatch, float(rows[-1, -1]))
     with pytest.raises(OSError, match="1 of 3 row writers failed"):
         write_float_rows(io.StringIO(), rows)
     _assert_no_child_left()
@@ -156,14 +161,7 @@ def test_failing_child_is_exit_2_without_a_traceback(monkeypatch, capfd, tmp_pat
     assert main(argv) == 0
     _assert_no_child_left()
     last_p = float(target.read_text().splitlines()[-1].split(",")[0])
-    real = csv_float_line
-
-    def fails_on_the_last_row(row):
-        if row[0] == last_p:
-            raise ValueError("cannot format this row")
-        return real(row)
-
-    monkeypatch.setattr(report, "csv_float_line", fails_on_the_last_row)
+    _fail_on_value(monkeypatch, last_p)
     capfd.readouterr()
     assert main(argv) == 2
     _assert_no_child_left()
@@ -171,3 +169,17 @@ def test_failing_child_is_exit_2_without_a_traceback(monkeypatch, capfd, tmp_pat
     assert f"qgame market: cannot write report to {target}: " in err
     assert "Traceback" not in err and "ValueError" not in err
     assert out == ""
+
+
+def test_row_ranges_need_no_fork(monkeypatch):
+    _use_cpus(monkeypatch, 3)
+
+    def no_fork():
+        raise OSError("os.fork is not used")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    rows = _float_rows(7)
+    out = io.StringIO()
+    write_float_rows(out, rows)
+    assert out.getvalue() == "".join(map(csv_float_line, rows))
+    _assert_no_child_left()

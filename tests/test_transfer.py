@@ -493,8 +493,8 @@ def _inputs(chain, rng, k):
 
 
 def _run_or_refusal(block, n, steps, consumed):
-    """``_run_chain``'s stack and None, or None and the message of its refusal
-    to discard the consumed wire."""
+    """``_run_chain``'s branches and None, or None and the message of its
+    refusal to discard the consumed wire."""
     try:
         return transfer._run_chain(block, n, steps, consumed), None
     except ValidationError as exc:
@@ -694,19 +694,19 @@ class TestBatchedReplay:
             j = int(rng.choice([j for j, s in enumerate(measured) if len(s.wires) == 1]))
             consumed = (int(rng.choice(chain.wires)), j)
         block = block[:, rng.permutation(block.shape[1])]
-        stack, refusal = _run_or_refusal(block, n, steps, consumed)
+        stacked, refusal = _run_or_refusal(block, n, steps, consumed)
         refusals = [_run_or_refusal(block[:, [j]], n, steps, consumed)[1]
                     for j in range(block.shape[1])]
         assert refusal == next(filter(None, refusals), None)
         if refusal is not None:
-            # A refused discard leaves no stack: compare the branches before it.
+            # A refused discard leaves no branches: compare those before it.
             consumed = None
-            stack = transfer._run_chain(block, n, steps)
+            stacked = transfer._run_chain(block, n, steps)
         for j in range(block.shape[1]):
             single = transfer._run_chain(block[:, [j]], n, steps, consumed)
-            rows = [p for p in range(len(stack.signs)) if stack.mass[p, j] > 0]
-            assert [stack.signs[p] for p in rows] == list(single.signs)
-            assert stack.mass[rows, j].tobytes() == single.mass[:, 0].tobytes()
-            assert stack.amps[:, rows, j].tobytes() == single.amps[:, :, 0].tobytes()
-            dead = [p for p in range(len(stack.signs)) if p not in rows]
-            assert not stack.amps[:, dead, j].any()
+            live = [(signs, mass[j], v[:, j]) for signs, mass, v in stacked if mass[j] > 0]
+            assert [signs for signs, _, _ in live] == [signs for signs, _, _ in single]
+            for (_, mass, v), (_, single_mass, single_v) in zip(live, single):
+                assert mass.tobytes() == single_mass[0].tobytes()
+                assert v.tobytes() == single_v[:, 0].tobytes()
+            assert not any(v[:, j].any() for _, mass, v in stacked if not mass[j] > 0)
