@@ -1,7 +1,8 @@
 """Command-line front end: identity ledgers, game runs, market tables.
 
 Every subcommand assembles a Report and streams it as text, JSON, or CSV
-to standard output or the ``--out`` file.
+to standard output or the ``--out`` file; ``market`` and ``qfa`` read
+their input files through ``qgame.inputs``.
 Sampling commands derive all randomness from one ``--seed`` through
 sequential stream counters (seed stays the first entropy word, the
 sub-task counter the second), so a fixed seed yields byte-identical
@@ -19,14 +20,11 @@ written.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
-import json
 import math
 import os
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -41,18 +39,13 @@ from .games import (
     gvw_expected_payoffs,
     gvw_fair_point,
     gvw_simulate,
-    json_number,
     newcomb_run,
-    qfa_from_dict,
     qfa_run,
 )
 from .gates import GateSet, H
+from .inputs import named, read_automaton, read_strategy
 from .market import (
-    MAX_WIGNER_POINTS,
-    GridSpec,
-    WaveFunction1D,
     demand_cdf,
-    make_gaussian_strategy,
     supply_cdf,
     to_momentum,
     wigner,
@@ -186,109 +179,8 @@ def cmd_walk(args) -> Report:
     return Report("walk", config, checks, {"survival": table})
 
 
-def _number(payload: dict, key: str, path: str, default=None) -> float:
-    """One numeric field of a strategy file; a bad value names the file and field."""
-    value = payload.get(key, default)
-    number = json_number(value)
-    if number is None:
-        raise ValidationError(f"{path}: field {key!r} must be a number, got {value!r}")
-    return number
-
-
-def _sample_pairs(samples, n_points: int, path: str) -> np.ndarray:
-    """The explicit ``samples`` field as an (n_points, 2) array; every entry is
-    read by the same rule as a numeric field."""
-    pairs = None
-    if isinstance(samples, list) and all(isinstance(pair, list) for pair in samples):
-        pairs = [[json_number(x) for x in pair] for pair in samples]
-    if (pairs is None or len(pairs) != n_points
-            or any(len(pair) != 2 or None in pair for pair in pairs)):
-        raise ValidationError(
-            f"{path}: field 'samples' must be {n_points} [re, im] pairs of numbers")
-    return np.array(pairs)
-
-
-def _point_count(value: int | float, source: str) -> int:
-    """A grid point count read from ``source``, a file field or a flag.
-
-    The count is checked here, before any array is built, so a fractional
-    or oversized count is refused by name instead of being truncated or
-    allocated.
-    """
-    whole = isinstance(value, int) or value.is_integer()
-    if not (whole and 64 <= value <= MAX_WIGNER_POINTS
-            and int(value) & (int(value) - 1) == 0):
-        raise ValidationError(
-            f"{source} must be a power of two from 64 to "
-            f"{MAX_WIGNER_POINTS}, got {value!r}")
-    return int(value)
-
-
-@contextlib.contextmanager
-def _named(prefix: str):
-    """Re-raise any QGameError of the block as a ValidationError led by ``prefix``,
-    so a refusal names the input file and, where it is one, the field."""
-    try:
-        yield
-    except QGameError as exc:
-        raise ValidationError(f"{prefix}: {exc}") from None
-
-
-def _read_json_object(path: str, what: str) -> dict:
-    """Parse the ``what`` file at ``path``, which must hold a JSON object."""
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read {what} file {path}: {exc}") from exc
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"{path}: JSON parse error at line {exc.lineno}: {exc.msg}") from exc
-    except (ValueError, RecursionError) as exc:
-        raise ValidationError(f"{path}: unreadable JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ValidationError(f"{path}: {what} file must hold a JSON object")
-    return payload
-
-
-def _load_strategy(path: str, grid_override: int | None):
-    """A Gaussian descriptor or an explicit-sample wave, with the same field checks."""
-    payload = _read_json_object(path, "strategy")
-    explicit = "samples" in payload
-    if not explicit and payload.get("kind") != "gaussian":
-        raise ValidationError(
-            f"{path}: expected kind 'gaussian' or explicit samples")
-    for key in ("q_min", "q_max", "n_points"):
-        if key not in payload:
-            raise ValidationError(f"{path}: missing grid field {key!r}")
-    if grid_override is not None:
-        if explicit:
-            raise ValidationError(
-                f"{path}: --grid applies only to Gaussian descriptors")
-        n_points = _point_count(grid_override, "--grid")
-    else:
-        n_points = _point_count(_number(payload, "n_points", path),
-                                f"{path}: field 'n_points'")
-    q_min, q_max = _number(payload, "q_min", path), _number(payload, "q_max", path)
-    with _named(path):
-        grid = GridSpec(q_min, q_max, n_points)
-    if explicit:
-        pairs = _sample_pairs(payload["samples"], n_points, path)
-        with _named(f"{path}: field 'samples'"):
-            return WaveFunction1D(grid, pairs[:, 0] + 1j * pairs[:, 1])
-    center = payload.get("center", True)
-    if not isinstance(center, bool):
-        raise ValidationError(
-            f"{path}: field 'center' must be true or false, got {center!r}")
-    mean = _number(payload, "mean", path, default=0.0)
-    spread = _number(payload, "spread", path, default=1.0)
-    with _named(path):
-        return make_gaussian_strategy(mean, spread, grid, center=center)
-
-
 def cmd_market(args) -> Report:
-    psi = _load_strategy(args.strategy, args.grid)
+    psi = read_strategy(args.strategy, args.grid)
     prices = [float(c) for c in np.exp(np.linspace(-2.0, 2.0, 9))]
     momentum = to_momentum(psi)
     cdf_rows = [[price, demand_cdf(psi, price),
@@ -323,13 +215,11 @@ def cmd_market(args) -> Report:
 
 
 def cmd_qfa(args) -> Report:
-    payload = _read_json_object(args.automaton, "automaton")
-    with _named(args.automaton):
-        automaton = qfa_from_dict(payload)
+    automaton = read_automaton(args.automaton)
     words = args.word if args.word else [""]
     rows = []
     for word in words:
-        with _named(f"{args.automaton}: --word {word!r}"):
+        with named(f"{args.automaton}: --word {word!r}"):
             rows.append([word, qfa_run(automaton, list(word))])
     return Report("qfa",
                   {"automaton": args.automaton, "dim": automaton.dim},

@@ -212,6 +212,12 @@ def gvw_fair_point(reward: float) -> tuple[float, float]:
     return p_star, gvw_best_response(p_star, reward)[1]
 
 
+def _finite(arr: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{what} holds NaN or infinity")
+    return arr
+
+
 def _as_complex_matrix(value, dim: int, what: str) -> np.ndarray:
     if isinstance(value, Operator):
         mat = value.matrix
@@ -219,7 +225,7 @@ def _as_complex_matrix(value, dim: int, what: str) -> np.ndarray:
         mat = np.asarray(value, dtype=complex)
     if mat.shape != (dim, dim):
         raise ValidationError(f"{what} must be {dim}x{dim}, got shape {mat.shape}")
-    return mat
+    return _finite(mat, what)
 
 
 class QFA:
@@ -236,24 +242,27 @@ class QFA:
         if isinstance(initial, QState):
             vec = initial.amplitudes.copy()
         else:
-            vec = np.asarray(initial, dtype=complex).reshape(-1)
-        norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > 1e-9:
-            raise ValidationError(f"start vector norm {norm} is not 1")
+            vec = _finite(np.asarray(initial, dtype=complex).reshape(-1), "initial")
         dim = vec.size
-        table: dict[str, np.ndarray] = {}
-        for symbol, raw in transitions.items():
-            mat = _as_complex_matrix(raw, dim, f"transition {symbol!r}")
-            drift = np.max(np.abs(mat.conj().T @ mat - np.eye(dim)))
-            if drift > 1e-12:
-                raise ValidationError(
-                    f"transition {symbol!r} is not unitary (defect {drift:.2e})")
-            table[symbol] = mat
-        proj = _as_complex_matrix(accept, dim, "accept")
-        if np.max(np.abs(proj - proj.conj().T)) > 1e-12:
-            raise ValidationError("accept operator is not Hermitian")
-        if np.max(np.abs(proj @ proj - proj)) > 1e-12:
-            raise ValidationError("accept operator is not idempotent")
+        # Finite entries near the float limit overflow these checks to inf or
+        # NaN; each test is written so that NaN fails it, so they are refused.
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = float(np.linalg.norm(vec))
+            if not abs(norm - 1.0) <= 1e-9:
+                raise ValidationError(f"start vector norm {norm} is not 1")
+            table: dict[str, np.ndarray] = {}
+            for symbol, raw in transitions.items():
+                mat = _as_complex_matrix(raw, dim, f"transition {symbol!r}")
+                drift = np.max(np.abs(mat.conj().T @ mat - np.eye(dim)))
+                if not drift <= 1e-12:
+                    raise ValidationError(
+                        f"transition {symbol!r} is not unitary (defect {drift:.2e})")
+                table[symbol] = mat
+            proj = _as_complex_matrix(accept, dim, "accept")
+            if not np.max(np.abs(proj - proj.conj().T)) <= 1e-12:
+                raise ValidationError("accept operator is not Hermitian")
+            if not np.max(np.abs(proj @ proj - proj)) <= 1e-12:
+                raise ValidationError("accept operator is not idempotent")
         self.initial = vec
         self.transitions = table
         self.accept = proj
@@ -273,65 +282,3 @@ def qfa_run(qfa: QFA, word: Sequence[str]) -> float:
         vec = mat @ vec
     kept = qfa.accept @ vec
     return float(np.vdot(kept, kept).real)
-
-
-# Every input file refuses JSON strings, booleans and nulls where a number
-# belongs, although float and numpy would read "8" and true as numbers and
-# numpy would read null as NaN.
-_NOT_NUMBERS = (str, bool, type(None))
-
-
-def json_number(value) -> float | None:
-    """A JSON number as a float, or None for anything else."""
-    if not isinstance(value, _NOT_NUMBERS):
-        try:
-            return float(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    return None
-
-
-def _entries_to_array(value, rank: int, what: str) -> np.ndarray:
-    """Decode a JSON-friendly array of the given rank.
-
-    Entries are plain numbers for real data; complex data adds one trailing
-    axis of [re, im] pairs.  The expected rank disambiguates the two (a 2x2
-    real matrix and a two-entry pair vector share a shape otherwise).
-    """
-    entries = np.asarray(value, dtype=object)
-    if entries.ndim not in (rank, rank + 1):
-        raise ValidationError(f"{what} has unsupported shape {entries.shape}")
-    if any(isinstance(entry, _NOT_NUMBERS) for entry in entries.flat):
-        raise ValidationError(
-            f"{what} holds a string, boolean or null where a number belongs")
-    try:
-        arr = entries.astype(float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{what} is not an array of numbers: {exc}") from None
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{what} holds NaN or infinity")
-    if arr.ndim == rank:
-        return arr.astype(complex)
-    if arr.shape[-1] == 2:
-        return arr[..., 0] + 1j * arr[..., 1]
-    raise ValidationError(f"{what} has unsupported shape {arr.shape}")
-
-
-def qfa_from_dict(payload: Mapping[str, object]) -> QFA:
-    """Build an automaton from a JSON-shaped mapping.
-
-    Expects keys ``initial`` (vector), ``transitions`` (symbol -> matrix),
-    and ``accept`` (matrix).  Entries are plain numbers for real data or
-    [re, im] pairs for complex data.
-    """
-    missing = {"initial", "transitions", "accept"} - set(payload)
-    if missing:
-        raise ValidationError(f"automaton file is missing {sorted(missing)}")
-    transitions = payload["transitions"]
-    if not isinstance(transitions, Mapping):
-        raise ValidationError("transitions must map symbols to matrices")
-    initial = _entries_to_array(payload["initial"], 1, "initial")
-    table = {str(sym): _entries_to_array(mat, 2, f"transition {sym!r}")
-             for sym, mat in transitions.items()}
-    accept = _entries_to_array(payload["accept"], 2, "accept")
-    return QFA(initial, table, accept)

@@ -160,6 +160,15 @@ class TestExitCodes:
         assert code == expected
         assert named in output and "Traceback" not in output
 
+    def test_market_real_samples_read_as_real_pairs(self, capsys, tmp_path):
+        real = tmp_path / "real.json"
+        real.write_text(json.dumps({**_WAVE_64,
+                                    "samples": [re for re, _ in _WAVE_64["samples"]]}))
+        code, from_reals = run_json(capsys, ["market", str(real)])
+        _, from_pairs = run_json(capsys, ["market", WAVE])
+        assert code == 0
+        assert {**from_reals, "config": {}} == {**from_pairs, "config": {}}
+
     def test_market_non_boolean_center_is_refused(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"kind": "gaussian", "q_min": -8.0,
@@ -274,6 +283,119 @@ class TestExitCodes:
         assert "nonsense" in err
 
 
+_SAMPLES_32 = _WAVE_64["samples"][:32]
+
+
+# One case per distinct refusal of the strategy and automaton readers; a
+# content of None leaves the file absent, a string is written as it is.
+@pytest.mark.parametrize("command, content, extra, line", [
+    pytest.param("market", None, [],
+                 "cannot read strategy file {path}: [Errno 2] No such file or "
+                 "directory: '{path}'", id="market-unreadable"),
+    pytest.param("qfa", None, [],
+                 "cannot read automaton file {path}: [Errno 2] No such file or "
+                 "directory: '{path}'", id="qfa-unreadable"),
+    pytest.param("market", '{\n  "kind": "gaussian",\n  oops\n}', [],
+                 "{path}: JSON parse error at line 3: Expecting property name enclosed "
+                 "in double quotes", id="market-parse-error"),
+    pytest.param("qfa", "[1\n", [], "{path}: JSON parse error at line 2: Expecting ',' "
+                 "delimiter", id="qfa-parse-error"),
+    pytest.param("market", "[" * 100_000, [],
+                 "{path}: unreadable JSON: maximum recursion depth exceeded while "
+                 "decoding a JSON array from a unicode string", id="market-too-deep"),
+    pytest.param("market", "5", [], "{path}: strategy file must hold a JSON object",
+                 id="market-not-an-object"),
+    pytest.param("qfa", "[]", [], "{path}: automaton file must hold a JSON object",
+                 id="qfa-not-an-object"),
+    pytest.param("market", {**_GAUSSIAN_64, "kind": "lorentzian"}, [],
+                 "{path}: expected kind 'gaussian' or explicit samples", id="kind"),
+    pytest.param("market", {k: v for k, v in _GAUSSIAN_64.items() if k != "q_max"}, [],
+                 "{path}: missing grid field 'q_max'", id="missing-field"),
+    pytest.param("market", {**_GAUSSIAN_64, "spread": "1"}, [],
+                 "{path}: field 'spread' must be a number, got '1'", id="non-number"),
+    pytest.param("market", {**_GAUSSIAN_64, "n_points": 64.9}, [],
+                 "{path}: field 'n_points' must be a power of two from 64 to 4096, "
+                 "got 64.9", id="n-points"),
+    pytest.param("market", _WAVE_64, ["--grid", "1024"],
+                 "{path}: --grid applies only to Gaussian descriptors", id="grid-on-samples"),
+    pytest.param("market", _GAUSSIAN_64, ["--grid", "0"],
+                 "--grid must be a power of two from 64 to 4096, got 0", id="bad-grid"),
+    pytest.param("market", {**_GAUSSIAN_64, "q_min": 8.0, "q_max": -8.0}, [],
+                 "{path}: grid needs q_min < q_max, got [8.0, -8.0]", id="grid-order"),
+    pytest.param("market", {**_GAUSSIAN_64, "center": "false"}, [],
+                 "{path}: field 'center' must be true or false, got 'false'", id="center"),
+    pytest.param("market", {**_GAUSSIAN_64, "spread": 5.0}, [],
+                 "{path}: grid [-8.0, 8.0] clips the strategy (edge amplitude ratio "
+                 "3.01e-01)", id="clipped-gaussian"),
+    pytest.param("market", {**_WAVE_64, "samples": _SAMPLES_32}, [],
+                 "{path}: field 'samples': expected 64 samples, got shape (32,)",
+                 id="samples-count"),
+    pytest.param("market", {**_WAVE_64, "samples": [["0", 0.0], *_SAMPLES_32]}, [],
+                 "{path}: field 'samples' holds a string, boolean or null where a number "
+                 "belongs", id="samples-entry"),
+    pytest.param("market",
+                 {**_WAVE_64, "samples": [[float("nan"), 0.0], *_WAVE_64["samples"][1:]]}, [],
+                 "{path}: field 'samples': samples contain NaN or infinity", id="samples-nan"),
+    pytest.param("market", {**_WAVE_64, "samples": [[1.0, 0.0]] * 64}, [],
+                 "{path}: field 'samples': wave norm 16.0 is not 1 (the sum of "
+                 "|samples|^2 * step)", id="wave-norm"),
+    pytest.param("qfa", {"initial": _FLIP["initial"]}, [],
+                 "{path}: automaton file is missing ['accept', 'transitions']",
+                 id="missing-keys"),
+    pytest.param("qfa", {**_FLIP, "transitions": [1]}, [],
+                 "{path}: transitions must map symbols to matrices", id="transitions-list"),
+    pytest.param("qfa", {**_FLIP, "initial": ["1", "0"]}, [],
+                 "{path}: initial holds a string, boolean or null where a number belongs",
+                 id="entry-type"),
+    pytest.param("qfa", {**_FLIP, "initial": [[1, 0, 0], [0, 0, 0]]}, [],
+                 "{path}: initial has unsupported shape (2, 3)", id="shape"),
+    pytest.param("qfa", {**_FLIP, "transitions": {"a": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}},
+                 [], "{path}: transition 'a' must be 2x2, got shape (3, 3)", id="dimension"),
+    pytest.param("qfa", {**_FLIP, "initial": [10**400, 0]}, [],
+                 "{path}: initial is not an array of numbers: int too large to convert "
+                 "to float", id="huge-int"),
+    pytest.param("qfa", {**_FLIP, "accept": [[float("nan"), 0], [0, 1]]}, [],
+                 "{path}: accept holds NaN or infinity", id="nan-accept"),
+    pytest.param("qfa", {**_FLIP, "initial": [0.6, 0.6]}, [],
+                 "{path}: start vector norm 0.848528137423857 is not 1", id="initial-norm"),
+    pytest.param("qfa", {**_FLIP, "transitions": {"a": [[1, 0], [0, 0.5]]}}, [],
+                 "{path}: transition 'a' is not unitary (defect 7.50e-01)", id="non-unitary"),
+    pytest.param("qfa", {**_FLIP, "accept": [[0, 1], [0, 0]]}, [],
+                 "{path}: accept operator is not Hermitian", id="non-hermitian"),
+    pytest.param("qfa", {**_FLIP, "accept": [[0.5, 0], [0, 0.5]]}, [],
+                 "{path}: accept operator is not idempotent", id="non-idempotent"),
+    pytest.param("qfa", _FLIP, ["--word", "ab"],
+                 "{path}: --word 'ab': symbol 'b' is not in the alphabet", id="unknown-symbol"),
+])
+def test_reader_refusal_is_one_full_line(capsys, tmp_path, command, content, extra, line):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+    code, out, err = run(capsys, [command, str(path), *extra])
+    assert (code, out) == (2, "")
+    assert err == f"qgame {command}: {line.format(path=path)}\n"
+
+
+# Entries near the float limit overflow the types' norm and operator checks;
+# each is refused by the text a smaller defect gets, and no warning escapes.
+@pytest.mark.parametrize("command, payload, line", [
+    pytest.param("market", {**_WAVE_64, "samples": [[1e308, 1e308]] * 64},
+                 "field 'samples': wave norm inf is not 1 (the sum of |samples|^2 * step)",
+                 id="samples"),
+    pytest.param("qfa", {**_FLIP, "initial": [1e308, 1e308]},
+                 "start vector norm inf is not 1", id="initial"),
+    pytest.param("qfa", {**_FLIP, "transitions": {"a": [[1e308, 0], [0, 1e308]]}},
+                 "transition 'a' is not unitary (defect inf)", id="transition"),
+    pytest.param("qfa", {**_FLIP, "accept": [[1e308, 0], [0, 1e308]]},
+                 "accept operator is not idempotent", id="accept"),
+])
+def test_huge_finite_entries_are_refused_without_a_warning(command, payload, line):
+    code, output, caught = _exit_code(command, payload, [])
+    assert caught == []
+    assert code == 2
+    assert output.startswith(f"qgame {command}: ") and output.endswith(f"input.json: {line}\n")
+
+
 # Malformed values of every JSON type.  Integers are small or huge: a
 # well-formed power-of-two grid between 2048 and the 4096-point limit is a
 # valid request whose n x n Wigner table costs hundreds of megabytes, a
@@ -301,20 +423,21 @@ _PLAUSIBLE = {
 
 
 # Explicit-sample files: the example wave, a sample count that disagrees
-# with its grid, and samples that are not normalized.
+# with its grid, and samples that are not normalized, once by overflow.
 _WAVE_PLAUSIBLE = {
     "q_min": st.just(_WAVE_64["q_min"]),
     "q_max": st.just(_WAVE_64["q_max"]),
     "n_points": st.sampled_from([64, 128]),
     "samples": st.sampled_from([_WAVE_64["samples"], _WAVE_64["samples"][:32],
-                                [[1.0, 0.0]] * 64]),
+                                [[1.0, 0.0]] * 64, [[1e308, 1e308]] * 64]),
 }
 _FLIP_PLAUSIBLE = {
     "initial": st.one_of(st.just(_FLIP["initial"]),
                          st.lists(st.floats(-2.0, 2.0), max_size=3)),
     "transitions": st.one_of(st.just(_FLIP["transitions"]),
                              st.dictionaries(st.text(max_size=2), _JUNK, max_size=2)),
-    "accept": st.one_of(st.just(_FLIP["accept"]), st.just([[1.0, 0.0], [0.0, 0.0]])),
+    "accept": st.one_of(st.just(_FLIP["accept"]), st.just([[1.0, 0.0], [0.0, 0.0]]),
+                        st.just([[1e308, 0.0], [0.0, 1e308]])),
 }
 
 
@@ -358,8 +481,9 @@ def test_market_exit_code_contract_holds_for_any_payload(payload, extra):
 @given(st.one_of(_payloads(_FLIP_PLAUSIBLE), _JUNK),
        st.sampled_from([[], ["--word", "a"], ["--word", "ab"]]))
 def test_qfa_exit_code_contract_holds_for_any_payload(payload, extra):
-    code, output, _ = _exit_code("qfa", payload, extra)
+    code, output, caught = _exit_code("qfa", payload, extra)
     assert code in (0, 1, 2), output
+    assert caught == []
 
 
 def _parser_arguments() -> dict:

@@ -19,9 +19,9 @@ from qgame.games import (
     gvw_fair_point,
     gvw_simulate,
     newcomb_run,
-    qfa_from_dict,
     qfa_run,
 )
+from qgame.inputs import qfa_from_dict
 
 from random_matrices import random_unitary
 
@@ -341,6 +341,19 @@ class TestAutomaton:
         tilted = np.array([[0.5, 0.5], [0.5, 0.6]], dtype=complex)
         with pytest.raises(ValidationError):
             QFA(QState.basis(1, 0), {"a": NOT}, tilted)
+
+    @pytest.mark.parametrize("initial, transition, accept, named", [
+        pytest.param([math.nan, 0.0], np.eye(2), np.diag([1.0, 0.0]), "initial",
+                     id="initial"),
+        pytest.param([1.0, 0.0], np.diag([1.0, math.nan]), np.diag([1.0, 0.0]),
+                     "transition 'a'", id="transition"),
+        pytest.param([1.0, 0.0], np.eye(2), np.diag([math.inf, 0.0]), "accept",
+                     id="accept"),
+    ])
+    def test_non_finite_entries_are_refused_by_name(self, initial, transition, accept,
+                                                    named):
+        with pytest.raises(ValidationError, match=f"^{named} holds NaN or infinity$"):
+            QFA(initial, {"a": transition}, accept)
 
     def test_acceptance_probability_stays_in_range(self):
         rng = seeded_rng(17)
