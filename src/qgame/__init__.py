@@ -1,40 +1,16 @@
-"""Quantum game toolbox: dense simulation, measurement-driven gates, markets."""
+"""Quantum game toolbox: dense simulation, measurement-driven gates, markets.
 
-from .config import ATOL_ALGEBRA, ATOL_CIRCUIT, seeded_rng
-from .errors import (
-    CapacityError,
-    GridTruncationError,
-    QGameError,
-    StepCapError,
-    ValidationError,
-)
-from .states import (
-    DensityOp,
-    Operator,
-    QState,
-    equal_up_to_global_phase,
-    fidelity,
-    matfun_hermitian,
-    tensor,
-)
+The package holds only the error types and the version, so ``import qgame``
+loads no numpy; everything else is imported from its submodule.
+"""
+
+from .errors import CapacityError, QGameError, ValidationError
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ATOL_ALGEBRA",
-    "ATOL_CIRCUIT",
     "CapacityError",
-    "DensityOp",
-    "GridTruncationError",
-    "Operator",
     "QGameError",
-    "QState",
-    "StepCapError",
     "ValidationError",
-    "equal_up_to_global_phase",
-    "fidelity",
-    "matfun_hermitian",
-    "seeded_rng",
-    "tensor",
     "__version__",
 ]

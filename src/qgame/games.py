@@ -19,7 +19,7 @@ from .config import MAX_TRIALS
 from .errors import ValidationError
 from .gates import CNOT_ALLIANCE, H, I2, NOT
 from .measure import apply_gate
-from .states import Operator, QState
+from .states import QState
 
 BREAKERS = ("absent", "I", "NOT", "qutrojan")
 
@@ -219,10 +219,7 @@ def _finite(arr: np.ndarray, what: str) -> np.ndarray:
 
 
 def _as_complex_matrix(value, dim: int, what: str) -> np.ndarray:
-    if isinstance(value, Operator):
-        mat = value.matrix
-    else:
-        mat = np.asarray(value, dtype=complex)
+    mat = np.asarray(value, dtype=complex)
     if mat.shape != (dim, dim):
         raise ValidationError(f"{what} must be {dim}x{dim}, got shape {mat.shape}")
     return _finite(mat, what)
@@ -239,10 +236,7 @@ class QFA:
     __slots__ = ("initial", "transitions", "accept")
 
     def __init__(self, initial, transitions: Mapping[str, object], accept) -> None:
-        if isinstance(initial, QState):
-            vec = initial.amplitudes.copy()
-        else:
-            vec = _finite(np.asarray(initial, dtype=complex).reshape(-1), "initial")
+        vec = _finite(np.asarray(initial, dtype=complex).reshape(-1), "initial")
         dim = vec.size
         # Finite entries near the float limit overflow these checks to inf or
         # NaN; each test is written so that NaN fails it, so they are refused.

@@ -107,9 +107,6 @@ class Observable:
     def tensor(self, other: "Observable") -> "Observable":
         return Observable(np.kron(self.matrix, other.matrix), f"{self.label}*{other.label}")
 
-    def __repr__(self) -> str:
-        return f"Observable({self.label!r}, dim={self.dim})"
-
 
 # The four one-qubit observables of the measurement calculus.  OBS_X_PRIME is
 # what a computational-basis readout reports (outcome +1 meaning bit 0), and
@@ -120,21 +117,6 @@ OBS_X_PRIME = Observable(SIGMA_Z, "X'")
 OBS_X_SECOND = Observable(SIGMA_Y, "X''")
 OBS_DIAG = Observable((SIGMA_Z + SIGMA_Y) / _SQRT2, "G")
 OBS_X_MINUS_SECOND = Observable((SIGMA_X - SIGMA_Y) / _SQRT2, "(X-X'')/sqrt2")
-
-OBSERVABLES = {
-    "X": OBS_X,
-    "X'": OBS_X_PRIME,
-    "X''": OBS_X_SECOND,
-    "G": OBS_DIAG,
-}
-
-
-def observable(label: str) -> Observable:
-    """Look up a named one-qubit observable (X, X', X'', G)."""
-    try:
-        return OBSERVABLES[label]
-    except KeyError:
-        raise ValidationError(f"unknown observable {label!r}") from None
 
 
 @dataclass(frozen=True)

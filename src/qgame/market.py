@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, GridTruncationError, ValidationError
+from .errors import CapacityError, ValidationError
 from .report import write_float_rows
 
 TWO_PI = 2.0 * math.pi
@@ -107,24 +107,15 @@ class WaveFunction1D:
     @classmethod
     def normalized(cls, grid: GridSpec, samples) -> "WaveFunction1D":
         arr = np.asarray(samples, dtype=complex)
-        norm = math.sqrt(float(np.sum(np.abs(arr) ** 2)) * grid.step)
+        # Samples near the float limit overflow the mass to inf, refused below.
+        with np.errstate(over="ignore"):
+            norm = math.sqrt(float(np.sum(np.abs(arr) ** 2)) * grid.step)
         if norm == 0.0 or not math.isfinite(norm):
             raise ValidationError("cannot normalize: zero or non-finite mass")
         return cls(grid, arr / norm)
 
     def density(self) -> np.ndarray:
         return np.abs(self.samples) ** 2
-
-    def norm(self) -> float:
-        return float(np.sum(self.density()) * self.grid.step)
-
-    def mean(self) -> float:
-        """E(q) under the sampled density."""
-        return float(np.sum(self.grid.nodes() * self.density()) * self.grid.step)
-
-    def variance(self) -> float:
-        centered = self.grid.nodes() - self.mean()
-        return float(np.sum(centered ** 2 * self.density()) * self.grid.step)
 
 
 def make_gaussian_strategy(mean: float, spread: float, grid: GridSpec, *,
@@ -152,12 +143,9 @@ def make_gaussian_strategy(mean: float, spread: float, grid: GridSpec, *,
     peak = float(raw.max())
     edge = max(float(abs(raw[0])), float(abs(raw[-1])))
     if peak == 0.0 or edge / peak >= _EDGE_AMPLITUDE:
-        total = float(np.sum(raw ** 2))
-        boundary = float(raw[0] ** 2 + raw[-1] ** 2) / total if total else 1.0
-        raise GridTruncationError(
+        raise ValidationError(
             f"grid [{grid.q_min}, {grid.q_max}] clips the strategy "
-            f"(edge amplitude ratio {edge / peak if peak else 1.0:.2e})",
-            boundary_mass=boundary)
+            f"(edge amplitude ratio {edge / peak if peak else 1.0:.2e})")
     return WaveFunction1D.normalized(grid, raw.astype(complex))
 
 

@@ -80,10 +80,6 @@ class Branch:
     probability: float
     state: QState
 
-    @property
-    def signs(self) -> tuple[int, ...]:
-        return tuple(sign for _, sign in self.outcomes)
-
 
 def measure(state: QState, obs: Observable, targets: Sequence[int]) -> list[Branch]:
     """Measure a binary observable on the chosen wires.

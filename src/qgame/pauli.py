@@ -90,12 +90,6 @@ class PauliTag:
             out = np.kron(out, _MATRICES[LETTERS.index(letter)])
         return (1j**self.phase) * out
 
-    @property
-    def label(self) -> str:
-        word = "*".join(self.letters)
-        prefix = {0: "", 1: "i*", 2: "-", 3: "-i*"}[self.phase]
-        return prefix + word
-
 
 @functools.lru_cache(maxsize=None)  # called for widths up to _TABLE_WIDTH only
 def _word_table(n: int) -> tuple:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import MAX_TRIALS
-from .errors import StepCapError, ValidationError
+from .errors import QGameError, ValidationError
 from .pauli import LETTERS
 
 DEFAULT_STEP_CAP = 10_000
@@ -60,10 +60,8 @@ def walk_steps_batch(target, rng: np.random.Generator, trials: int, *,
         pending = moved
     left = int(pending.sum())
     if left:
-        raise StepCapError(
-            f"{left} of {trials} walks missed the target within {step_cap} steps",
-            steps=step_cap,
-        )
+        raise QGameError(
+            f"{left} of {trials} walks missed the target within {step_cap} steps")
     return counts
 
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgame import QState, ValidationError, seeded_rng
+from qgame import ValidationError
+from qgame.config import seeded_rng
 from qgame.gates import H, NOT
 from qgame.games import (
     GambleParams,
@@ -313,34 +314,34 @@ class TestAutomaton:
         return np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 
     def test_single_flip_accepts(self):
-        qfa = QFA(QState.basis(1, 0), {"a": NOT}, self._projector_one())
+        qfa = QFA([1, 0], {"a": NOT}, self._projector_one())
         assert qfa_run(qfa, ["a"]) == pytest.approx(1.0, abs=1e-12)
 
     def test_double_switch_rejects(self):
         # Two applications of the basis switch give minus the identity, so
         # the walker is back in the start state up to sign.
-        qfa = QFA(QState.basis(1, 0), {"h": H}, self._projector_one())
+        qfa = QFA([1, 0], {"h": H}, self._projector_one())
         assert qfa_run(qfa, ["h", "h"]) == pytest.approx(0.0, abs=1e-24)
         assert qfa_run(qfa, ["h"]) == pytest.approx(0.5, abs=1e-12)
 
     def test_empty_word_reads_the_start_state(self):
-        qfa = QFA(QState.basis(1, 1), {"a": NOT}, self._projector_one())
+        qfa = QFA([0, 1], {"a": NOT}, self._projector_one())
         assert qfa_run(qfa, []) == pytest.approx(1.0, abs=1e-12)
 
     def test_unknown_symbol_is_refused(self):
-        qfa = QFA(QState.basis(1, 0), {"a": NOT}, self._projector_one())
+        qfa = QFA([1, 0], {"a": NOT}, self._projector_one())
         with pytest.raises(ValidationError):
             qfa_run(qfa, ["a", "b"])
 
     def test_transitions_must_be_unitary(self):
         shrink = np.array([[1.0, 0.0], [0.0, 0.5]], dtype=complex)
         with pytest.raises(ValidationError):
-            QFA(QState.basis(1, 0), {"a": shrink}, self._projector_one())
+            QFA([1, 0], {"a": shrink}, self._projector_one())
 
     def test_accept_must_be_a_projector(self):
         tilted = np.array([[0.5, 0.5], [0.5, 0.6]], dtype=complex)
         with pytest.raises(ValidationError):
-            QFA(QState.basis(1, 0), {"a": NOT}, tilted)
+            QFA([1, 0], {"a": NOT}, tilted)
 
     @pytest.mark.parametrize("initial, transition, accept, named", [
         pytest.param([math.nan, 0.0], np.eye(2), np.diag([1.0, 0.0]), "initial",
@@ -359,7 +360,7 @@ class TestAutomaton:
         rng = seeded_rng(17)
         for _ in range(20):
             dim = int(rng.integers(2, 5))
-            alphabet = {s: random_unitary(dim, rng) for s in "abc"}
+            alphabet = {s: random_unitary(dim, rng).matrix for s in "abc"}
             basis = np.eye(dim, dtype=complex)
             keep = basis[:, : dim // 2 + 1]
             accept = keep @ keep.conj().T

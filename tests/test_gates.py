@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qgame import ValidationError, equal_up_to_global_phase
+from qgame import ValidationError
 from qgame.gates import (
     CNOT,
     CNOT_ALLIANCE,
@@ -19,8 +19,8 @@ from qgame.gates import (
     SIGMA_Y,
     SIGMA_Z,
     T,
-    observable,
 )
+from qgame.states import equal_up_to_global_phase
 
 ATOL = 1e-12
 
@@ -80,9 +80,12 @@ def test_plain_cnot_differs_from_alliance_by_a_conditional_phase():
     assert np.allclose(ratio, np.diag([1, 1, 1j, 1j]), atol=ATOL)
 
 
-@pytest.mark.parametrize("label", ["X", "X'", "X''", "G"])
-def test_named_observables_are_involutions_with_clean_projectors(label):
-    obs = observable(label)
+_ONE_QUBIT = [pytest.param(obs, id=obs.label)
+              for obs in (OBS_X, OBS_X_PRIME, OBS_X_SECOND, OBS_DIAG)]
+
+
+@pytest.mark.parametrize("obs", _ONE_QUBIT)
+def test_named_observables_are_involutions_with_clean_projectors(obs):
     eye = np.eye(2)
     assert np.allclose(obs.matrix @ obs.matrix, eye, atol=ATOL)
     assert np.allclose(obs.proj_plus @ obs.proj_plus, obs.proj_plus, atol=ATOL)
@@ -90,10 +93,9 @@ def test_named_observables_are_involutions_with_clean_projectors(label):
     assert np.allclose(obs.proj_plus + obs.proj_minus, eye, atol=ATOL)
 
 
-@pytest.mark.parametrize("label", ["X", "X'", "X''", "G"])
+@pytest.mark.parametrize("obs", _ONE_QUBIT)
 @pytest.mark.parametrize("sign", [+1, -1])
-def test_eigenvectors_actually_belong_to_their_eigenvalue(label, sign):
-    obs = observable(label)
+def test_eigenvectors_actually_belong_to_their_eigenvalue(obs, sign):
     vec = obs.eigenvector(sign)
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(obs.matrix @ vec, sign * vec, atol=ATOL)
@@ -101,7 +103,7 @@ def test_eigenvectors_actually_belong_to_their_eigenvalue(label, sign):
 
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_eigenvectors_are_computed_once_and_read_only(sign):
-    obs = observable("G")
+    obs = OBS_DIAG
     vec = obs.eigenvector(sign)
     assert obs.eigenvector(sign) is vec
     with pytest.raises(ValueError):
@@ -120,5 +122,3 @@ def test_non_involutions_are_rejected():
         Observable(np.diag([1.0, 2.0]), "bad-scale")
     with pytest.raises(ValidationError):
         Observable(np.array([[0, 1], [0, 0]]), "bad-sym")
-    with pytest.raises(ValidationError):
-        observable("Y")

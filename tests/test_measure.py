@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgame import DensityOp, Operator, QState, ValidationError
-from qgame.gates import H, OBS_X, OBS_X_PRIME, observable
+from qgame import ValidationError
+from qgame.gates import H, OBS_DIAG, OBS_X, OBS_X_PRIME, OBS_X_SECOND
 from qgame.measure import (
     apply_gate,
     apply_matrix,
@@ -14,13 +14,13 @@ from qgame.measure import (
     measure,
     partial_inner,
 )
-from qgame import tensor
+from qgame.states import DensityOp, Operator, QState
 
 from random_matrices import random_density, random_hermitian, random_state, random_unitary
 
 
 def test_measuring_the_flip_observable_on_a_basis_state_is_a_coin():
-    branches = measure(QState.zero(1), OBS_X, [0])
+    branches = measure(QState.basis(1, 0), OBS_X, [0])
     assert [b.outcomes for b in branches] == [(("X", +1),), (("X", -1),)]
     assert branches[0].probability == pytest.approx(0.5, abs=1e-12)
     assert branches[1].probability == pytest.approx(0.5, abs=1e-12)
@@ -36,10 +36,10 @@ def test_measuring_readout_on_its_own_eigenstate_is_deterministic():
 def test_two_wire_measurement_against_direct_projector_arithmetic():
     # Flip observable on the second wire, readout on the first; computed two
     # ways: through the library and through raw 4x4 projectors.
-    state = tensor(QState(H @ np.array([1, 0], dtype=complex)), QState.zero(1))
-    joint = observable("X'").tensor(observable("X"))
+    state = QState(np.kron(H @ np.array([1, 0], dtype=complex), [1, 0]))
+    joint = OBS_X_PRIME.tensor(OBS_X)
     branches = measure(state, joint, [0, 1])
-    mat = np.kron(observable("X'").matrix, observable("X").matrix)
+    mat = np.kron(OBS_X_PRIME.matrix, OBS_X.matrix)
     for branch, sign in zip(branches, (+1, -1)):
         proj = (np.eye(4) + sign * mat) / 2
         raw = proj @ state.amplitudes
@@ -55,8 +55,8 @@ def test_two_wire_measurement_against_direct_projector_arithmetic():
 def test_same_factor_order_on_a_joint_eigenstate_is_deterministic():
     # With the factor order matching the wires, the same preparation is a +1
     # eigenstate of flip(x)readout and nothing branches.
-    state = tensor(QState(H @ np.array([1, 0], dtype=complex)), QState.zero(1))
-    joint = observable("X").tensor(observable("X'"))
+    state = QState(np.kron(H @ np.array([1, 0], dtype=complex), [1, 0]))
+    joint = OBS_X.tensor(OBS_X_PRIME)
     branches = measure(state, joint, [0, 1])
     assert len(branches) == 1
     assert branches[0].outcomes[0][1] == +1
@@ -74,17 +74,17 @@ def test_enumerated_probabilities_sum_to_one_for_many_random_states():
     assert worst < 1e-12
 
 
-_LABELS = ("X", "X'", "X''", "G")
+_ONE_QUBIT = (OBS_X, OBS_X_PRIME, OBS_X_SECOND, OBS_DIAG)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 3), st.lists(st.sampled_from(_LABELS), min_size=1, max_size=2),
+@given(st.integers(1, 3), st.lists(st.sampled_from(_ONE_QUBIT), min_size=1, max_size=2),
        st.randoms(use_true_random=False), st.integers(0, 2**32 - 1))
-def test_branch_probabilities_sum_to_one(n, labels, order, seed):
-    width = min(len(labels), n)
-    obs = observable(labels[0])
-    for label in labels[1:width]:
-        obs = obs.tensor(observable(label))
+def test_branch_probabilities_sum_to_one(n, factors, order, seed):
+    width = min(len(factors), n)
+    obs = factors[0]
+    for factor in factors[1:width]:
+        obs = obs.tensor(factor)
     wires = order.sample(range(n), width)
     state = random_state(n, np.random.default_rng(seed))
     total = sum(b.probability for b in measure(state, obs, wires))
@@ -141,7 +141,7 @@ def test_measure_takes_no_sampling_arguments():
 
 
 def test_target_wire_validation():
-    state = QState.zero(2)
+    state = QState.basis(2, 0)
     with pytest.raises(ValidationError):
         measure(state, OBS_X, [0, 1])
     with pytest.raises(ValidationError):

@@ -26,7 +26,6 @@ def test_phase_accumulates_mod_four():
     xp = PauliTag(("X'",))
     t = x.compose(xp)  # -i X''
     assert t.letters == ("X''",) and t.phase == 3
-    assert t.label == "-i*X''"
     roundtrip = t.compose(t)
     # (-i X'')^2 = -I
     assert roundtrip.letters == ("I",) and roundtrip.phase == 2

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgame import ATOL_CIRCUIT, QState, ValidationError, equal_up_to_global_phase, tensor, transfer
-from qgame.gates import CNOT, DEFAULT_GATES, GateSet, H, T, observable
+from qgame import ValidationError, transfer
+from qgame.config import ATOL_CIRCUIT
+from qgame.gates import CNOT, DEFAULT_GATES, OBS_X, OBS_X_PRIME, GateSet, H, T
 from qgame.measure import measure
 from qgame.pauli import PauliTag, match_pauli_word, tag_from_scalar
-from qgame.states import fidelity
+from qgame.states import QState, equal_up_to_global_phase, fidelity
 from qgame.transfer import (
     ImplicitReadout,
     implicit_readout,
@@ -30,7 +31,7 @@ from random_matrices import random_state
 
 
 def _with_fresh_ancilla(psi: QState) -> QState:
-    return tensor(psi, QState.zero(1))
+    return QState(np.kron(psi.amplitudes, [1, 0]))
 
 
 def _block(states) -> np.ndarray:
@@ -57,16 +58,16 @@ def _pair_register(pair: QState) -> QState:
 
 
 def test_transfer_has_eight_uniform_branches():
-    outs = state_transfer_sigma_h(_with_fresh_ancilla(QState.zero(1)), 0, 1)
+    outs = state_transfer_sigma_h(_with_fresh_ancilla(QState.basis(1, 0)), 0, 1)
     assert len(outs) == 8
     for out in outs:
         assert out.probability == pytest.approx(0.125, abs=1e-12)
 
 
 def test_transfer_all_plus_branch_carries_the_basis_switch():
-    outs = state_transfer_sigma_h(_with_fresh_ancilla(QState.zero(1)), 0, 1)
+    outs = state_transfer_sigma_h(_with_fresh_ancilla(QState.basis(1, 0)), 0, 1)
     top = outs[0]
-    assert top.signs == (1, 1, 1)
+    assert [sign for _, sign in top.outcomes] == [1, 1, 1]
     assert top.byproduct.letters == ("I",)
     ok, _ = equal_up_to_global_phase(top.state.amplitudes, H @ np.array([1, 0]))
     assert ok
@@ -88,7 +89,7 @@ def test_transfer_branches_all_realize_byproduct_times_switch(swapped, n_branche
 
 
 def test_transfer_byproducts_cover_all_letters_twice():
-    outs = state_transfer_sigma_h(_with_fresh_ancilla(QState.zero(1)), 0, 1)
+    outs = state_transfer_sigma_h(_with_fresh_ancilla(QState.basis(1, 0)), 0, 1)
     tally: dict[str, int] = {}
     for out in outs:
         tally[out.byproduct.letters[0]] = tally.get(out.byproduct.letters[0], 0) + 1
@@ -100,15 +101,16 @@ def test_transfer_respects_spectator_wires():
     spectator = random_state(1, rng)
     psi = random_state(1, rng)
     # Register (spectator, src, anc): transfer 1 -> 2, spectator untouched.
-    reg = tensor(tensor(spectator, psi), QState.zero(1))
+    reg = QState(np.kron(np.kron(spectator.amplitudes, psi.amplitudes), [1, 0]))
     for out in state_transfer_sigma_h(reg, 1, 2):
-        expect = tensor(spectator, QState(out.byproduct.matrix() @ H @ psi.amplitudes, normalize=True))
+        moved = out.byproduct.matrix() @ H @ psi.amplitudes
+        expect = QState(np.kron(spectator.amplitudes, moved), normalize=True)
         ok, _ = equal_up_to_global_phase(out.state, expect)
         assert ok
 
 
 def test_transfer_requires_a_fresh_ancilla():
-    dirty = tensor(QState.zero(1), QState.basis(1, 1))
+    dirty = QState.basis(2, 1)
     with pytest.raises(ValidationError):
         state_transfer_sigma_h(dirty, 0, 1)
 
@@ -135,7 +137,7 @@ def test_identity_transfer_variants_move_the_state_unchanged(variant, n_branches
 
 def test_identity_transfer_rejects_unknown_variants():
     with pytest.raises(ValidationError):
-        transfer_identity(_with_fresh_ancilla(QState.zero(1)), 0, 1, variant="yy")
+        transfer_identity(_with_fresh_ancilla(QState.basis(1, 0)), 0, 1, variant="yy")
 
 
 @pytest.mark.parametrize("conjugated", [False, True])
@@ -159,7 +161,7 @@ def test_phase_transfer_variants_agree_branch_by_branch():
     for a, b in zip(plain, conj):
         assert a.probability == pytest.approx(b.probability, abs=1e-12)
         ok, _ = equal_up_to_global_phase(a.state, b.state)
-        assert ok, f"branches {a.signs} and {b.signs} disagree"
+        assert ok, f"branches {a.outcomes} and {b.outcomes} disagree"
 
 
 def test_cnot_sixteen_branches_on_basis_and_random_inputs():
@@ -201,7 +203,7 @@ def test_implicit_readout_matches_the_direct_law_and_posts():
         psi = random_state(1, rng)
         reg = _with_fresh_ancilla(psi)
         law = _implicit_law(reg)
-        direct = {b.outcomes[0][1]: b.probability for b in measure(psi, observable("X'"), [0])}
+        direct = {b.outcomes[0][1]: b.probability for b in measure(psi, OBS_X_PRIME, [0])}
         for sign in (+1, -1):
             worst = max(worst, abs(law[sign] - direct.get(sign, 0.0)))
     assert worst < 1e-12
@@ -210,7 +212,7 @@ def test_implicit_readout_matches_the_direct_law_and_posts():
 def test_implicit_readout_posts_equal_direct_projections():
     psi = QState([0.6, 0.8], normalize=True)
     reg = _with_fresh_ancilla(psi)
-    direct = {b.outcomes[0][1]: b.state for b in measure(psi, observable("X'"), [0])}
+    direct = {b.outcomes[0][1]: b.state for b in measure(psi, OBS_X_PRIME, [0])}
     for res in implicit_readout(reg, 0, 1):
         assert isinstance(res, ImplicitReadout)
         ok, _ = equal_up_to_global_phase(res.state, direct[res.derived_sign])
@@ -221,8 +223,8 @@ def test_implicit_readout_posts_equal_direct_projections():
 def test_composite_measurements_match_direct_observables(kind, label):
     rng = np.random.default_rng(53)
     direct_obs = {
-        "X*X": observable("X").tensor(observable("X")),
-        "X'*X'": observable("X'").tensor(observable("X'")),
+        "X*X": OBS_X.tensor(OBS_X),
+        "X'*X'": OBS_X_PRIME.tensor(OBS_X_PRIME),
     }[label]
     for _ in range(100):
         pair = random_state(2, rng)
@@ -243,7 +245,7 @@ def test_composite_on_doubly_switched_zeros_is_deterministic():
     # Both wires carrying the switched |0> are +1 eigenstates of the flip,
     # so the joint flip word cannot branch.
     switched = QState(H @ np.array([1, 0], dtype=complex))
-    pair = tensor(switched, switched)
+    pair = QState(np.kron(switched.amplitudes, switched.amplitudes))
     outs = measure_composite(pair, (0, 1), "xx")
     assert len(outs) == 1
     assert outs[0].outcomes == (("X*X", +1),)
@@ -258,7 +260,7 @@ def test_byproduct_algebra_composes_exactly_across_two_transfers():
     sigma_2 . (H-conjugate of sigma_1) with two extra quarter turns from the
     squared switch.
     """
-    reg = _with_fresh_ancilla(QState.zero(1))
+    reg = _with_fresh_ancilla(QState.basis(1, 0))
     outs = state_transfer_sigma_h(reg, 0, 1)
     h_inv = np.linalg.inv(H)
     tagged = []
@@ -272,7 +274,7 @@ def test_byproduct_algebra_composes_exactly_across_two_transfers():
             expected = tag2.compose(tag1.conjugated_by_h()).shifted(2)
             letters, coeff = match_pauli_word(map2 @ map1)
             got, mag = tag_from_scalar(letters, coeff)
-            assert got == expected, f"{tag2.label} after {tag1.label}"
+            assert got == expected, f"{tag2} after {tag1}"
             assert mag == pytest.approx(mag1 * mag2, abs=1e-12)
             checked += 1
     assert checked == 64
@@ -297,7 +299,7 @@ def test_structurally_corrupted_switch_target_is_refused():
     # identification machinery says so instead of mislabeling.
     tilt = np.diag([1.0, np.exp(1e-3j)])
     bad = GateSet(hadamard=H @ tilt)
-    reg = _with_fresh_ancilla(QState.zero(1))
+    reg = _with_fresh_ancilla(QState.basis(1, 0))
     with pytest.raises(ValidationError):
         state_transfer_sigma_h(reg, 0, 1, gates=bad)
 
@@ -392,7 +394,7 @@ class TestByproductCache:
         assert sequence == [clean, corrupted, clean]
 
     def test_shared_branch_maps_are_read_only(self):
-        out = state_transfer_sigma_h(_with_fresh_ancilla(QState.zero(1)), 0, 1)[0]
+        out = state_transfer_sigma_h(_with_fresh_ancilla(QState.basis(1, 0)), 0, 1)[0]
         with pytest.raises(ValueError):
             out.branch_map[0, 0] = 0.0
 
@@ -550,13 +552,13 @@ class TestBatchedReplay:
 
     def test_a_column_pruned_in_a_kept_branch_is_zero_there(self):
         block = np.array([[1, 0, 1], [0, 1, 1]], dtype=complex) / [1, 1, np.sqrt(2)]
-        paths = transfer._run_chain(block, 1, (transfer._m(observable("X'"), 0),))
+        paths = transfer._run_chain(block, 1, (transfer._m(OBS_X_PRIME, 0),))
         assert [signs for signs, _, _ in paths] == [(1,), (-1,)]
         (_, plus, v_plus), (_, minus, v_minus) = paths
         assert plus.tolist() == [1.0, 0.0, pytest.approx(0.5)]
         assert minus.tolist() == [0.0, 1.0, pytest.approx(0.5)]
         assert not v_plus[:, 1].any() and not v_minus[:, 0].any()
-        paths = transfer._run_chain(block[:, :1], 1, (transfer._m(observable("X'"), 0),))
+        paths = transfer._run_chain(block[:, :1], 1, (transfer._m(OBS_X_PRIME, 0),))
         assert [signs for signs, _, _ in paths] == [(1,)]
 
     def test_lowest_entangled_column_is_the_fault(self):
@@ -566,7 +568,7 @@ class TestBatchedReplay:
         zero, plus, one = np.eye(2)[0], np.array([1, 1]) / np.sqrt(2), np.eye(2)[1]
         block = np.stack([np.kron(c, zero) for c in (zero, plus, zero, one)], axis=1)
         block = block.astype(complex)
-        steps = (transfer._m(observable("X'"), 1), transfer.GateStep(CNOT, (0, 1)))
+        steps = (transfer._m(OBS_X_PRIME, 1), transfer.GateStep(CNOT, (0, 1)))
         messages = []
         for cols in ([1], [3], slice(None)):
             with pytest.raises(ValidationError, match="still entangled") as refused:
@@ -599,7 +601,7 @@ class TestBatchedReplay:
         for psi in inputs:
             law = _implicit_law(_with_fresh_ancilla(psi))
             direct = {b.outcomes[0][1]: b.probability
-                      for b in measure(psi, observable("X'"), [0])}
+                      for b in measure(psi, OBS_X_PRIME, [0])}
             worst = max(worst, *(abs(law[s] - direct.get(s, 0.0)) for s in (+1, -1)))
         assert worst <= 1e-14
         assert transfer._implicit_deviation() <= 1e-14
