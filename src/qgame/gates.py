@@ -43,7 +43,7 @@ CNOT = np.block([[I2, np.zeros((2, 2))], [np.zeros((2, 2)), SIGMA_X]]).astype(co
 class Observable:
     """Binary observable: a Hermitian involution with outcomes +1 and -1."""
 
-    __slots__ = ("matrix", "label", "proj_plus", "proj_minus", "_eigenvectors")
+    __slots__ = ("matrix", "label", "projectors", "proj_plus", "proj_minus", "_eigenvectors")
 
     def __init__(self, matrix, label: str):
         mat = np.asarray(matrix, dtype=complex)
@@ -56,8 +56,9 @@ class Observable:
             raise ValidationError(f"observable {label!r} is not an involution")
         self.matrix = mat
         self.label = label
-        self.proj_plus = (eye + mat) / 2
-        self.proj_minus = (eye - mat) / 2
+        # The +1 and -1 projectors as one (2, d, d) stack, so one kernel call forks a register.
+        self.projectors = np.stack([(eye + mat) / 2, (eye - mat) / 2])
+        self.proj_plus, self.proj_minus = self.projectors
         self._eigenvectors = {}
 
     @property
@@ -72,11 +73,9 @@ class Observable:
         return n
 
     def projector(self, sign: int) -> np.ndarray:
-        if sign == +1:
-            return self.proj_plus
-        if sign == -1:
-            return self.proj_minus
-        raise ValidationError(f"outcome sign must be +1 or -1, got {sign}")
+        if sign not in (+1, -1):
+            raise ValidationError(f"outcome sign must be +1 or -1, got {sign}")
+        return self.proj_plus if sign == +1 else self.proj_minus
 
     def eigenvector(self, sign: int) -> np.ndarray:
         """Unit eigenvector for ``sign``; only defined for one-qubit observables.
@@ -130,6 +129,15 @@ class GateSet:
     not_gate: np.ndarray = field(default_factory=lambda: NOT.copy())
     hadamard: np.ndarray = field(default_factory=lambda: H.copy())
     phase_t: np.ndarray = field(default_factory=lambda: T.copy())
+
+    def __post_init__(self):
+        # Non-finite entries are kept: the ledger rows that read them fail alone.
+        for name in ("not_gate", "hadamard", "phase_t"):
+            raw = np.asarray(getattr(self, name))
+            if raw.dtype.kind not in "biufc" or raw.shape != (2, 2):
+                raise ValidationError(f"the {name} gate must be a numeric 2 x 2 matrix, "
+                                      f"got {raw.dtype} of shape {raw.shape}")
+            object.__setattr__(self, name, raw.astype(complex, copy=False))
 
 
 DEFAULT_GATES = GateSet()

@@ -18,8 +18,6 @@ from .errors import ValidationError
 from .gates import Observable
 from .states import DensityOp, Operator, QState, matfun_hermitian
 
-_SIGN_ORDER = (+1, -1)
-
 
 def _check_wires(targets: Sequence[int], n_qubits: int, width: int) -> tuple[int, ...]:
     wires = tuple(int(t) for t in targets)
@@ -33,22 +31,34 @@ def _check_wires(targets: Sequence[int], n_qubits: int, width: int) -> tuple[int
     return wires
 
 
+def _on_wires(ops: np.ndarray, vec: np.ndarray, wires: tuple, n_qubits: int) -> np.ndarray:
+    """Each ``(r, 2**k)`` operator in ``ops`` times the register, ``wires`` first:
+    one ``np.matmul`` that makes, per contiguous operator, the BLAS call it alone gets."""
+    psi = vec.reshape((2,) * n_qubits + vec.shape[1:])
+    rest = [a for a in range(psi.ndim) if a not in wires]
+    return np.matmul(np.ascontiguousarray(ops),
+                     psi.transpose(*wires, *rest).reshape(2 ** len(wires), -1))
+
+
 def apply_matrix(vec: np.ndarray, mat: np.ndarray, targets: Sequence[int], n_qubits: int) -> np.ndarray:
     """Apply a k-wire matrix to the chosen wires of a flat amplitude vector.
 
     ``vec`` is one register of shape ``(2**n_qubits,)`` or a block of shape
     ``(2**n_qubits, b)`` whose b columns are registers; every column gets the
-    same matrix in one contraction, and the result has the shape of ``vec``.
+    same matrix, and the result has the shape of ``vec``.  A stack ``mat`` of
+    shape ``(m, 2**k, 2**k)`` gives ``(m, *vec.shape)`` in the same one call,
+    entry i bit for bit what ``mat[i]`` alone gives.
     """
-    k = int(mat.shape[0]).bit_length() - 1
-    if mat.shape != (2**k, 2**k):
+    k = int(mat.shape[-1]).bit_length() - 1
+    if mat.ndim not in (2, 3) or mat.shape[-2:] != (2**k, 2**k):
         raise ValidationError(f"matrix shape {mat.shape} is not a k-qubit operator")
     wires = _check_wires(targets, n_qubits, k)
-    psi = vec.reshape((2,) * n_qubits + vec.shape[1:])
-    op = mat.reshape((2,) * (2 * k))
-    out = np.tensordot(op, psi, axes=(tuple(range(k, 2 * k)), wires))
-    out = np.moveaxis(out, tuple(range(k)), wires)
-    return np.ascontiguousarray(out).reshape(vec.shape)
+    out = _on_wires(mat.reshape(-1, 2**k, 2**k), vec, wires, n_qubits)
+    # The axes come out as (operator, target wires, other wires, columns).
+    order = wires + tuple(w for w in range(n_qubits) if w not in wires)
+    out = out.reshape(out.shape[:1] + (2,) * n_qubits + vec.shape[1:])
+    out = out.transpose(0, *(1 + np.argsort(order)), *range(n_qubits + 1, out.ndim))
+    return out.reshape(mat.shape[:-2] + vec.shape)
 
 
 def apply_gate(state: QState, gate, targets: Sequence[int]) -> QState:
@@ -65,11 +75,11 @@ def partial_inner(vec: np.ndarray, local: np.ndarray, wire: int, n_qubits: int) 
     """Contract <local| against one wire, returning the remaining register.
 
     Like :func:`apply_matrix`, ``vec`` may be a ``(2**n_qubits, b)`` block of
-    column registers; the result is then ``(2**(n_qubits - 1), b)``.
+    column registers; the result is then ``(2**(n_qubits - 1), b)``.  A stack
+    ``local`` of shape ``(m, 2)`` adds a leading axis m, all in one kernel call.
     """
-    psi = vec.reshape((2,) * n_qubits + vec.shape[1:])
-    out = np.tensordot(local.conj(), psi, axes=([0], [wire]))
-    return np.ascontiguousarray(out).reshape((-1,) + vec.shape[1:])
+    out = _on_wires(local.conj().reshape(-1, 1, 2), vec, (wire,), n_qubits)
+    return out.reshape(local.shape[:-1] + (2 ** (n_qubits - 1),) + vec.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -88,7 +98,7 @@ def measure(state: QState, obs: Observable, targets: Sequence[int]) -> list[Bran
     """
     wires = _check_wires(targets, state.n_qubits, obs.n_qubits)
     branches = []
-    for sign in _SIGN_ORDER:
+    for sign in (+1, -1):
         projected = apply_matrix(state.amplitudes, obs.projector(sign), wires, state.n_qubits)
         prob = float(np.vdot(projected, projected).real)
         if prob < PROB_EPS:

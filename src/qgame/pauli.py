@@ -93,36 +93,44 @@ class PauliTag:
 
 @functools.lru_cache(maxsize=None)  # called for widths up to _TABLE_WIDTH only
 def _word_table(n: int) -> tuple:
-    """Every n-letter word in order, their stacked matrices and conjugate transposes."""
+    """Every n-letter word in order, their stacked read-only matrices and conjugate transposes."""
     words = tuple(_iter_product(LETTERS, repeat=n))
     table = np.stack([PauliTag(letters).matrix() for letters in words])
+    table.setflags(write=False)
     return words, table, table.conj().transpose(0, 2, 1)
 
 
-def match_pauli_word(mat: np.ndarray, atol: float = 1e-10) -> tuple[tuple[str, ...], complex] | None:
+def word_matrix(letters: tuple[str, ...]) -> np.ndarray:
+    """``PauliTag(letters).matrix()``, read from the cached word table; read-only."""
+    words, table, _ = _word_table(len(letters))
+    return table[words.index(letters)]
+
+
+def match_pauli_word(mat: np.ndarray, atol: float = 1e-10):
     """Identify ``mat`` as scalar * (tensor word of Pauli letters).
 
     Returns the letters and the complex scalar, or None when no word fits;
     when several fit, the first in ``LETTERS`` order wins.  The scalar is
     unconstrained here; use :func:`tag_from_scalar` when it is supposed to
-    be a power of i.  Words wider than 4 qubits are refused.
+    be a power of i.  Words wider than 4 qubits are refused.  A stack ``mat``
+    of b matrices is matched at once, giving a list of what each alone gives.
     """
     mat = np.asarray(mat, dtype=complex)
-    dim = mat.shape[0]
+    dim = mat.shape[-1]
     n = int(dim).bit_length() - 1
-    if mat.shape != (dim, dim) or 2**n != dim:
+    if mat.ndim not in (2, 3) or mat.shape[-2:] != (dim, dim) or 2**n != dim:
         raise ValidationError(f"matrix shape {mat.shape} is not a qubit operator")
     if n > _TABLE_WIDTH:
         raise ValidationError(
             f"cannot match a {n}-qubit word: the limit is {_TABLE_WIDTH} qubits")
     words, table, table_h = _word_table(n)
-    scale = max(float(np.max(np.abs(mat))), 1e-300)
-    coeffs = np.trace(table_h @ mat, axis1=1, axis2=2) / dim
-    fits = np.max(np.abs(mat - coeffs[:, None, None] * table), axis=(1, 2)) <= atol * scale
-    if not fits.any():
-        return None
-    first = int(np.argmax(fits))
-    return words[first], complex(coeffs[first])
+    stack = mat.reshape(-1, 1, dim, dim)
+    scale = np.maximum(np.abs(stack).max(axis=(1, 2, 3), initial=0.0), 1e-300)
+    coeffs = np.trace(table_h @ stack, axis1=2, axis2=3) / dim
+    fits = np.abs(stack - coeffs[..., None, None] * table).max(axis=(2, 3)) <= atol * scale[:, None]
+    found = [(words[first], complex(row[first])) if fit.any() else None
+             for fit, row, first in zip(fits, coeffs, np.argmax(fits, axis=1).tolist())]
+    return found if mat.ndim == 3 else found[0]
 
 
 def tag_from_scalar(letters: tuple[str, ...], coeff: complex) -> tuple[PauliTag, float]:

@@ -18,9 +18,9 @@ branch is linear, the runner takes a block of registers as the columns of one
 array: the public entry points pass one column, while the byproduct tables
 pass the basis inputs, so each branch comes out as its map.  All live
 branches ride in that one array as column groups, so a chain costs one kernel
-call per gate and one per outcome sign at each measurement, however many
-branches it has.  The verify ledger checks those maps as operator identities,
-so no row depends on sampled inputs.
+call per gate and per measurement, however many branches it has, and a table
+matches all its maps in one call.  The verify ledger checks those maps as
+operator identities, so no row depends on sampled inputs.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .errors import QGameError, ValidationError
 from .gates import (CNOT, DEFAULT_GATES, I2, OBS_DIAG, OBS_X, OBS_X_MINUS_SECOND, OBS_X_PRIME,
                     OBS_X_SECOND, SIGMA_X, SIGMA_Y, SIGMA_Z, GateSet, Observable)
 from .measure import Branch, apply_matrix, partial_inner
-from .pauli import PauliTag, match_pauli_word, tag_from_scalar
+from .pauli import PauliTag, match_pauli_word, tag_from_scalar, word_matrix
 from .report import CheckRecord
 from .states import QState
 
@@ -80,8 +80,8 @@ def _run_chain(block: np.ndarray, n: int, steps, consumed=None) -> list:
     """Walk a step chain over a block of registers, branching at measurements.
 
     ``block`` has shape ``(2**n, k)``: k registers as columns.  Every live
-    branch rides along as a group of k columns of one array, so each gate is
-    one kernel call and each measurement one call per outcome sign, however
+    branch rides along as a group of k columns of one array, so each gate and
+    each measurement (both projectors stacked) is one kernel call, however
     many branches there are; the children of a branch follow it in +1, -1
     order.  Returns every branch as a ``(signs, masses, amplitudes)`` triple:
     ``amplitudes[:, c]`` is column c of the register block in that branch,
@@ -89,9 +89,9 @@ def _run_chain(block: np.ndarray, n: int, steps, consumed=None) -> list:
     when every column's mass falls below PROB_EPS at a measurement; a column
     below it in a kept branch is zeroed there, mass 0, as if that outcome
     could not occur for it.  ``consumed = (wire, j)`` drops ``wire``, which
-    the j-th measurement left in an eigenstate.  If a column's register is
-    still entangled with that wire, a ValidationError is raised for the
-    lowest such column, from its first such branch.
+    the j-th measurement left in an eigenstate (one call for both signs).  If
+    a column's register is still entangled with that wire, a ValidationError
+    is raised for the lowest such column, from its first such branch.
     """
     dim, k = block.shape
     signs, amps = [()], block
@@ -100,9 +100,8 @@ def _run_chain(block: np.ndarray, n: int, steps, consumed=None) -> list:
             amps = apply_matrix(amps, step.gate, step.wires, n)
             continue
         # (dim, P, 2, k): the +1 and -1 child of each of the P branches side by side.
-        forks = np.stack([apply_matrix(amps, step.obs.projector(sign), step.wires, n)
-                          .reshape(dim, len(signs), k) for sign in (+1, -1)], axis=2)
-        forks = forks.reshape(dim, 2 * len(signs), k)
+        forks = apply_matrix(amps, step.obs.projectors, step.wires, n).reshape(2, dim, -1, k)
+        forks = forks.transpose(1, 2, 0, 3).reshape(dim, 2 * len(signs), k)
         masses = _masses(forks.reshape(dim, -1)).reshape(-1, k)
         dead = masses < PROB_EPS
         (keep,) = np.nonzero(~dead.all(axis=1))
@@ -114,13 +113,8 @@ def _run_chain(block: np.ndarray, n: int, steps, consumed=None) -> list:
     if consumed is not None:
         wire, j = consumed
         obs = [s for s in steps if isinstance(s, MeasureStep)][j].obs
-        at = np.repeat([s[j] for s in signs], k)
-        kept_amps = np.empty((dim // 2, amps.shape[1]), dtype=complex)
-        for sign in (+1, -1):
-            cols = at == sign
-            if cols.any():
-                kept_amps[:, cols] = partial_inner(amps[:, cols], obs.eigenvector(sign), wire, n)
-        amps = kept_amps
+        both = partial_inner(amps, np.stack([obs.eigenvector(+1), obs.eigenvector(-1)]), wire, n)
+        amps = np.where(np.repeat([s[j] for s in signs], k) == +1, both[0], both[1])
         kept = _masses(amps)
         (bad,) = np.nonzero(np.abs(kept - mass) > _DISCARD_MASS_ATOL * np.maximum(mass, 1e-30))
         if bad.size:
@@ -254,15 +248,18 @@ def _byproduct_table(name: str, gate_bytes: tuple[bytes, ...]) -> dict:
     read = {f: flat.reshape(math.isqrt(flat.size), -1) for f, flat in read.items()}
     target = _resolve(chain.target, read)
     target_inv = _inverse(target, f"the target of chain {name!r}")
+    branches = sorted(_branch_maps(chain, read).items(), key=lambda kv: [-s for s in kv[0]])
+    # A gate that kills every branch leaves an empty stack and an empty table.
+    matches = match_pauli_word(np.reshape([mat @ target_inv for _, mat in branches],
+                                          (-1, *target.shape)), atol=1e-9)
     out = {}
-    for signs, mat in sorted(_branch_maps(chain, read).items(), key=lambda kv: [-s for s in kv[0]]):
-        matched = match_pauli_word(mat @ target_inv, atol=1e-9)
+    for (signs, mat), matched in zip(branches, matches):
         if matched is None:
             raise ValidationError(
                 f"branch {signs} does not reduce to a Pauli correction of the target")
         letters, scalar = matched
         tag = PauliTag(letters)
-        expected = tag.matrix() @ target
+        expected = word_matrix(letters) @ target
         for shared in (mat, expected):
             shared.setflags(write=False)
         out[signs] = _Byproduct(tag, mat, scalar, expected)
@@ -279,8 +276,7 @@ def _finite_gate(gates: GateSet, field: str) -> np.ndarray:
 
 
 def _gate_key(name: str, gates: GateSet) -> tuple[bytes, ...]:
-    return tuple(np.asarray(_finite_gate(gates, f), dtype=complex).tobytes()
-                 for f in _CHAINS[name].reads)
+    return tuple(_finite_gate(gates, f).tobytes() for f in _CHAINS[name].reads)
 
 
 def _byproducts(name: str, gates: GateSet) -> dict:
@@ -486,10 +482,11 @@ def _algebra_row(gate_bytes: tuple[bytes, ...]) -> float:
     under the same key; an error is raised, never cached."""
     tagged = [(*tag_from_scalar(row.tag.letters, row.scalar), row.branch_map)
               for _, row in sorted(_byproduct_table("transfer", gate_bytes).items())]
+    pairs = list(itertools.product(tagged, repeat=2))
+    matches = match_pauli_word(np.stack([map2 @ map1 for (_, _, map1), (_, _, map2) in pairs]))
     worst = 0.0
-    for (tag1, mag1, map1), (tag2, mag2, map2) in itertools.product(tagged, repeat=2):
+    for ((tag1, mag1, _), (tag2, mag2, _)), found in zip(pairs, matches):
         expected = tag2.compose(tag1.conjugated_by_h()).shifted(2)
-        found = match_pauli_word(map2 @ map1)
         if found is None:
             return float("inf")
         got, mag = tag_from_scalar(*found)

@@ -21,6 +21,8 @@ CASES = {
     "verify_seed0": (["verify", "--seed", "0"], 0),
     "verify_seed7_only_transfer": (["verify", "--seed", "7", "--only", "transfer"], 0),
     "verify_seed123_corrupt": (["verify", "--seed", "123", "--corrupt", "0.01"], 1),
+    "verify_corrupt0p3": (["verify", "--corrupt", "0.3"], 1),
+    "verify_seed5_corrupt_neg1p2": (["verify", "--seed", "5", "--corrupt", "-1.2"], 1),
     "newcomb": (["newcomb"], 0),
     "gamble": (["gamble"], 0),
     "gamble_sweep": (["gamble", "--sweep"], 0),

@@ -121,6 +121,45 @@ def test_block_kernel_acts_column_by_column(n, width, k, order, seed):
         assert np.max(np.abs(inner[:, j] - single)) <= 1e-14 * max(1.0, np.max(np.abs(single)))
 
 
+def _tensordot_reference(vec, mat, wires, n):
+    """The kernel as a tensordot over the target axes, moved back in place."""
+    k = len(wires)
+    psi = vec.reshape((2,) * n + vec.shape[1:])
+    out = np.tensordot(mat.reshape((2,) * (2 * k)), psi, axes=(tuple(range(k, 2 * k)), wires))
+    return np.ascontiguousarray(np.moveaxis(out, tuple(range(k)), wires)).reshape(vec.shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 2), st.integers(0, 5), st.integers(1, 4),
+       st.randoms(use_true_random=False), st.integers(0, 2**32 - 1))
+def test_an_operator_stack_equals_each_operator_alone(n, width, k, m, order, seed):
+    """An (m, 2**w, 2**w) stack through apply_matrix, and an (m, 2) stack
+    through partial_inner, give entry i bit for bit what operator i gives
+    alone, which is bit for bit the tensordot reference; k = 0 is a 1-D
+    register."""
+    width = min(width, n)
+    rng = np.random.default_rng(seed)
+    mats = np.stack([_block(rng, width, 2**width) for _ in range(m)])
+    wires = order.sample(range(n), width)
+    vec = _block(rng, n, k) if k else _block(rng, n, 1)[:, 0]
+    out = apply_matrix(vec, mats, wires, n)
+    assert out.shape == (m, *vec.shape)
+    for i in range(m):
+        alone = apply_matrix(vec, mats[i], wires, n)
+        assert np.array_equal(out[i], alone)
+        assert np.array_equal(alone, _tensordot_reference(vec, mats[i], wires, n))
+    local = _block(rng, 1, m).T
+    wire = order.randrange(n)
+    inner = partial_inner(vec, local, wire, n)
+    assert inner.shape == (m, 2 ** (n - 1), *vec.shape[1:])
+    for i in range(m):
+        alone = partial_inner(vec, local[i], wire, n)
+        assert np.array_equal(inner[i], alone)
+        reference = np.tensordot(local[i].conj(), vec.reshape((2,) * n + vec.shape[1:]),
+                                 axes=([0], [wire]))
+        assert np.array_equal(alone, reference.reshape(alone.shape))
+
+
 def test_repeated_measurement_repeats_the_outcome():
     rng = np.random.default_rng(9)
     for _ in range(25):

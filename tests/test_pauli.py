@@ -133,6 +133,36 @@ def test_match_refuses_a_perturbed_word(letters, scalar, size, seed):
     assert match_pauli_word(scalar * (word + size * noise)) is None
 
 
+def _stack_entry(kind, letters, scalar, rng):
+    word = scalar * _word_matrix(letters)
+    if kind == "perturbed":
+        return word + 1e-3 * abs(scalar) * rng.standard_normal(word.shape)
+    if kind == "zero":
+        return np.zeros_like(word)
+    if kind in ("nan", "inf"):
+        word[tuple(rng.integers(word.shape[0], size=2))] = float(kind)
+    return word
+
+
+def _found(result):
+    """A match result with its scalar as repr, so that NaN compares equal."""
+    return None if result is None else (result[0], repr(result[1]))
+
+
+@settings(deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(st.tuples(
+    st.sampled_from(["scaled", "perturbed", "zero", "nan", "inf"]),
+    st.tuples(*[st.sampled_from(LETTERS)] * n), scalars), min_size=1, max_size=6)),
+    st.integers(0, 2**32 - 1))
+def test_a_stack_matches_as_each_matrix_alone(entries, seed):
+    rng = np.random.default_rng(seed)
+    stack = np.stack([_stack_entry(*entry, rng) for entry in entries])
+    with np.errstate(invalid="ignore", over="ignore"):
+        together = match_pauli_word(stack)
+        alone = [match_pauli_word(mat) for mat in stack]
+    assert [_found(r) for r in together] == [_found(r) for r in alone]
+
+
 @settings(deadline=None)
 @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
     st.tuples(*[st.sampled_from(LETTERS)] * n), phases,

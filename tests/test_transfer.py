@@ -440,6 +440,19 @@ class TestByproductCache:
             else:
                 assert check.status in ("pass", "info"), check.name
 
+    @pytest.mark.parametrize("bad", [np.eye(4), np.ones(3), np.ones((2, 3)), "H", None],
+                             ids=["4x4", "3", "2x3", "string", "none"])
+    @pytest.mark.parametrize("field", ["not_gate", "hadamard", "phase_t"])
+    def test_malformed_gates_are_refused_when_the_gate_set_is_built(self, field, bad):
+        with pytest.raises(ValidationError, match=f"the {field} gate "):
+            verify_universality(GateSet(**{field: bad}))
+
+    def test_gates_given_as_nested_lists_read_as_the_same_arrays(self):
+        gates = GateSet(**{field: getattr(DEFAULT_GATES, field).tolist()
+                           for field in ("not_gate", "hadamard", "phase_t")})
+        assert all(getattr(gates, f).dtype == complex for f in ("not_gate", "hadamard", "phase_t"))
+        assert verify_universality(gates) == verify_universality()
+
     @pytest.mark.parametrize("scale", [2.0, 1e-200])
     def test_a_scaled_switch_is_still_the_transfer_target(self, scale):
         # The transfer chains use the switch only as their target, which a
@@ -519,6 +532,20 @@ def _reference_chain_deviation(name, gates, inputs):
             worst = max(worst, 1.0 - float(abs(np.vdot(out.state.amplitudes, expect))))
         worst = max(worst, abs(total - 1.0))
     return worst
+
+
+def _ledger_kernel_calls(monkeypatch, gates=DEFAULT_GATES) -> tuple[int, int]:
+    """The apply_matrix and match_pauli_word calls one ledger run makes."""
+    counts = {"apply_matrix": 0, "match_pauli_word": 0}
+    for name in counts:
+        def counting(*args, _name=name, _original=getattr(transfer, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(transfer, name, counting)
+    verify_universality(gates)
+    monkeypatch.undo()
+    return counts["apply_matrix"], counts["match_pauli_word"]
 
 
 class TestBatchedReplay:
@@ -652,26 +679,28 @@ class TestBatchedReplay:
 
     def test_warm_ledger_makes_few_kernel_calls(self, monkeypatch):
         # The chain rows read their cached tables and make no call; the
-        # implicit readout makes two per measurement (4), and each composite
-        # word one per link gate and two for its measurement (8).  Tables and
+        # implicit readout makes one per measurement (2), and each composite
+        # word one per link gate and one for its measurement (6).  Tables and
         # the algebra row are warm.
         verify_universality()
-        calls, matches = [], []
-        original, original_match = transfer.apply_matrix, transfer.match_pauli_word
+        assert _ledger_kernel_calls(monkeypatch) == (8, 0)
 
-        def counting(*args, **kwargs):
-            calls.append(args[0].shape)
-            return original(*args, **kwargs)
+    def test_cold_ledger_makes_one_call_per_step_and_one_match_per_table(self, monkeypatch):
+        # The eight replays make one call per gate and per measurement, 27 in
+        # all, on top of the warm 8; each table and the algebra row match
+        # all their maps in one call.
+        transfer._byproduct_table.cache_clear()
+        transfer._algebra_row.cache_clear()
+        assert _ledger_kernel_calls(monkeypatch) == (35, 9)
 
-        def counting_match(*args, **kwargs):
-            matches.append(args[0].shape)
-            return original_match(*args, **kwargs)
-
-        monkeypatch.setattr(transfer, "apply_matrix", counting)
-        monkeypatch.setattr(transfer, "match_pauli_word", counting_match)
+    def test_a_corrupted_switch_rebuilds_only_the_tables_that_read_it(self, monkeypatch):
+        # transfer, transfer_swapped, identity_h and sigma_t_conj replay (14
+        # calls) and match once each; the algebra row stops at its first
+        # refused scalar, before it matches anything.
+        transfer._byproduct_table.cache_clear()
         verify_universality()
-        assert len(calls) == 12
-        assert matches == []
+        gates = GateSet(hadamard=H * np.exp(0.3j))
+        assert _ledger_kernel_calls(monkeypatch, gates) == (22, 4)
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(sorted(transfer._CHAINS)), st.integers(1, 6), st.booleans(),
