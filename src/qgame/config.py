@@ -1,5 +1,7 @@
 """Shared numerical tolerances, capacity limits, and RNG helpers."""
 
+from __future__ import annotations
+
 import numpy as np
 
 # Tolerance ladder.  Algebraic identities between constant matrices are held

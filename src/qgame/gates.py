@@ -43,7 +43,7 @@ CNOT = np.block([[I2, np.zeros((2, 2))], [np.zeros((2, 2)), SIGMA_X]]).astype(co
 class Observable:
     """Binary observable: a Hermitian involution with outcomes +1 and -1."""
 
-    __slots__ = ("matrix", "label", "projectors", "proj_plus", "proj_minus", "_eigenvectors")
+    __slots__ = ("matrix", "label", "projectors", "_eigenvectors")
 
     def __init__(self, matrix, label: str):
         mat = np.asarray(matrix, dtype=complex)
@@ -58,7 +58,6 @@ class Observable:
         self.label = label
         # The +1 and -1 projectors as one (2, d, d) stack, so one kernel call forks a register.
         self.projectors = np.stack([(eye + mat) / 2, (eye - mat) / 2])
-        self.proj_plus, self.proj_minus = self.projectors
         self._eigenvectors = {}
 
     @property
@@ -75,7 +74,7 @@ class Observable:
     def projector(self, sign: int) -> np.ndarray:
         if sign not in (+1, -1):
             raise ValidationError(f"outcome sign must be +1 or -1, got {sign}")
-        return self.proj_plus if sign == +1 else self.proj_minus
+        return self.projectors[0 if sign == +1 else 1]
 
     def eigenvector(self, sign: int) -> np.ndarray:
         """Unit eigenvector for ``sign``; only defined for one-qubit observables.
@@ -110,7 +109,7 @@ class Observable:
 # The four one-qubit observables of the measurement calculus.  OBS_X_PRIME is
 # what a computational-basis readout reports (outcome +1 meaning bit 0), and
 # OBS_X_SECOND is forced to be sigma_y by the phase-gate conjugation identity
-# checked in _check_conventions below.
+# that the verify ledger's ``xsecond`` row checks.
 OBS_X = Observable(SIGMA_X, "X")
 OBS_X_PRIME = Observable(SIGMA_Z, "X'")
 OBS_X_SECOND = Observable(SIGMA_Y, "X''")
@@ -141,18 +140,3 @@ class GateSet:
 
 
 DEFAULT_GATES = GateSet()
-
-
-def _check_conventions() -> None:
-    """Assert the phase conventions the rest of the package leans on."""
-    t_inv = np.linalg.inv(T)
-    derived = t_inv @ SIGMA_X @ T
-    if not np.allclose(derived, OBS_X_MINUS_SECOND.matrix, atol=ATOL_ALGEBRA):
-        raise AssertionError("phase-gate conjugation of X does not match (X - X'')/sqrt2")
-    if not np.allclose(H @ SIGMA_X @ H.conj().T, SIGMA_Z, atol=ATOL_ALGEBRA):
-        raise AssertionError("Hadamard conjugation of X does not give X'")
-    if not np.allclose(H @ H, -I2, atol=ATOL_ALGEBRA):
-        raise AssertionError("Hadamard does not square to minus identity")
-
-
-_check_conventions()

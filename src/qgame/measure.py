@@ -49,7 +49,7 @@ def apply_matrix(vec: np.ndarray, mat: np.ndarray, targets: Sequence[int], n_qub
     shape ``(m, 2**k, 2**k)`` gives ``(m, *vec.shape)`` in the same one call,
     entry i bit for bit what ``mat[i]`` alone gives.
     """
-    k = int(mat.shape[-1]).bit_length() - 1
+    k = int(mat.shape[-1] if mat.ndim else 0).bit_length() - 1
     if mat.ndim not in (2, 3) or mat.shape[-2:] != (2**k, 2**k):
         raise ValidationError(f"matrix shape {mat.shape} is not a k-qubit operator")
     wires = _check_wires(targets, n_qubits, k)

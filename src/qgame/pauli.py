@@ -116,7 +116,7 @@ def match_pauli_word(mat: np.ndarray, atol: float = 1e-10):
     of b matrices is matched at once, giving a list of what each alone gives.
     """
     mat = np.asarray(mat, dtype=complex)
-    dim = mat.shape[-1]
+    dim = mat.shape[-1] if mat.ndim else 0
     n = int(dim).bit_length() - 1
     if mat.ndim not in (2, 3) or mat.shape[-2:] != (dim, dim) or 2**n != dim:
         raise ValidationError(f"matrix shape {mat.shape} is not a qubit operator")

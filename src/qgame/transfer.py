@@ -1,12 +1,13 @@
 """Measurement-driven gate synthesis on dense registers.
 
 Every construction here is a short chain of binary measurements on a source
-wire and a fresh ancilla, declared once as data in ``_CHAINS``: its steps on
-a canonical register, the wires the input enters on, the wire measured away
-and the gate it implements.  One runner, ``_run_chain``, walks any step list
-over every branch at once, +1 outcomes before -1 at every fork, so
-enumeration is reproducible.  The public entry points
-only check the ancilla, pick a chain and hand it to the runner.
+wire and a fresh ancilla, declared once as data in ``_CHAINS``: its steps,
+each an ``(operator, wires)`` pair on a canonical register, the wires the
+input enters on, the wire measured away and the gate it implements.  One
+runner, ``_run_chain``, walks any step list over every branch at once, +1
+outcomes before -1 at every fork, so enumeration is reproducible, and drops
+the measured-away wire through its last one-wire measurement.  The public
+entry points only check the ancilla, pick a chain and hand it to the runner.
 
 Each branch acts on the logical input as a fixed linear map that factors as
 (positive scalar) x (power of i) x (Pauli word) x (target gate).  The Pauli
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -52,18 +52,6 @@ _ZZ = OBS_X_PRIME.tensor(OBS_X_PRIME)
 
 
 @dataclass(frozen=True)
-class GateStep:
-    gate: np.ndarray | str  # a string names a GateSet field, read when the chain runs
-    wires: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class MeasureStep:
-    obs: Observable
-    wires: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class TransferOutcome(Branch):
     """One branch of a synthesis chain after the consumed wire is dropped."""
 
@@ -76,31 +64,33 @@ def _masses(block: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", block.conj(), block).real
 
 
-def _run_chain(block: np.ndarray, n: int, steps, consumed=None) -> list:
+def _run_chain(block: np.ndarray, n: int, steps, consumed: int | None = None) -> list:
     """Walk a step chain over a block of registers, branching at measurements.
 
-    ``block`` has shape ``(2**n, k)``: k registers as columns.  Every live
-    branch rides along as a group of k columns of one array, so each gate and
-    each measurement (both projectors stacked) is one kernel call, however
-    many branches there are; the children of a branch follow it in +1, -1
-    order.  Returns every branch as a ``(signs, masses, amplitudes)`` triple:
-    ``amplitudes[:, c]`` is column c of the register block in that branch,
-    unnormalized, and ``masses[c]`` its probability.  A branch is dropped
-    when every column's mass falls below PROB_EPS at a measurement; a column
-    below it in a kept branch is zeroed there, mass 0, as if that outcome
-    could not occur for it.  ``consumed = (wire, j)`` drops ``wire``, which
-    the j-th measurement left in an eigenstate (one call for both signs).  If
-    a column's register is still entangled with that wire, a ValidationError
-    is raised for the lowest such column, from its first such branch.
+    ``block`` has shape ``(2**n, k)``: k registers as columns.  A step is an
+    ``(operator, wires)`` pair: an :class:`Observable` forks, any other
+    operator is a gate.  Every live branch rides along as a group of k
+    columns of one array, so each gate and each measurement (both projectors
+    stacked) is one kernel call, however many branches there are; the
+    children of a branch follow it in +1, -1 order.  Returns every branch as
+    a ``(signs, masses, amplitudes)`` triple: ``amplitudes[:, c]`` is column
+    c of the register block in that branch, unnormalized, and ``masses[c]``
+    its probability.  A branch is dropped when every column's mass falls
+    below PROB_EPS at a measurement; a column below it in a kept branch is
+    zeroed there, mass 0, as if that outcome could not occur for it.  A
+    ``consumed`` wire is dropped in the eigenstate that its last one-wire
+    measurement left (one call for both signs).  If a column's register is
+    still entangled with that wire, a ValidationError is raised for the
+    lowest such column, from its first such branch.
     """
     dim, k = block.shape
     signs, amps = [()], block
-    for step in steps:
-        if isinstance(step, GateStep):
-            amps = apply_matrix(amps, step.gate, step.wires, n)
+    for op, wires in steps:
+        if not isinstance(op, Observable):
+            amps = apply_matrix(amps, op, wires, n)
             continue
         # (dim, P, 2, k): the +1 and -1 child of each of the P branches side by side.
-        forks = apply_matrix(amps, step.obs.projectors, step.wires, n).reshape(2, dim, -1, k)
+        forks = apply_matrix(amps, op.projectors, wires, n).reshape(2, dim, -1, k)
         forks = forks.transpose(1, 2, 0, 3).reshape(dim, 2 * len(signs), k)
         masses = _masses(forks.reshape(dim, -1)).reshape(-1, k)
         dead = masses < PROB_EPS
@@ -111,23 +101,24 @@ def _run_chain(block: np.ndarray, n: int, steps, consumed=None) -> list:
         amps = forks.reshape(dim, -1)
     mass = _masses(amps)
     if consumed is not None:
-        wire, j = consumed
-        obs = [s for s in steps if isinstance(s, MeasureStep)][j].obs
-        both = partial_inner(amps, np.stack([obs.eigenvector(+1), obs.eigenvector(-1)]), wire, n)
+        measured = [(op, wires) for op, wires in steps if isinstance(op, Observable)]
+        j = max(j for j, (_, wires) in enumerate(measured) if wires == (consumed,))
+        obs = measured[j][0]
+        both = partial_inner(amps, np.stack([obs.eigenvector(s) for s in (+1, -1)]), consumed, n)
         amps = np.where(np.repeat([s[j] for s in signs], k) == +1, both[0], both[1])
         kept = _masses(amps)
         (bad,) = np.nonzero(np.abs(kept - mass) > _DISCARD_MASS_ATOL * np.maximum(mass, 1e-30))
         if bad.size:
             b = bad[np.argmin(bad % k)]
             raise ValidationError(
-                f"wire {wire} is still entangled with the register "
+                f"wire {consumed} is still entangled with the register "
                 f"(mass {mass[b]:.3e} -> {kept[b]:.3e}); cannot discard it")
     shape = (len(signs), k)
     return list(zip(signs, mass.reshape(shape),
                     amps.reshape(amps.shape[:1] + shape).transpose(1, 0, 2)))
 
 
-def _branches(state: QState, steps, package, consumed=None) -> list:
+def _branches(state: QState, steps, package, consumed: int | None = None) -> list:
     """Each branch on the caller's register as ``package(signs, prob, state)``."""
     branches = _run_chain(state.amplitudes[:, None], state.n_qubits, steps, consumed)
     return [package(signs, float(mass[0]), QState(v[:, 0] / np.sqrt(mass[0])))
@@ -140,26 +131,23 @@ class _Chain:
     wires are listed in the order its public entry point takes them.  Gates and
     targets named by a string are read from the caller's GateSet."""
 
-    steps: tuple
+    steps: tuple                  # (operator, wires) pairs
     target: np.ndarray | str      # gate the chain is meant to implement
     detail: str                   # what its verify ledger row asserts
     wires: tuple[int, ...] = (0, 1)
     input_wires: tuple[int, ...] = (0,)  # canonical wires the input enters on, ascending
     consumed: int = 0             # canonical wire measured away at the end
-    eigvec_step: int = 2          # measure-step index fixing the consumed wire
 
     @property
     def reads(self) -> tuple[str, ...]:
         """GateSet fields this chain depends on, in a fixed order."""
-        named = [s.gate for s in self.steps if isinstance(s, GateStep)] + [self.target]
-        return tuple(sorted({g for g in named if isinstance(g, str)}))
+        named = [op for op, _ in self.steps] + [self.target]
+        return tuple(sorted({op for op in named if isinstance(op, str)}))
 
     def bind(self, read: dict, where: dict) -> tuple:
         """Concrete steps: named gates looked up in ``read``, wires renamed."""
-        return tuple(
-            GateStep(_resolve(s.gate, read), tuple(where[w] for w in s.wires))
-            if isinstance(s, GateStep) else MeasureStep(s.obs, tuple(where[w] for w in s.wires))
-            for s in self.steps)
+        return tuple((_resolve(op, read), tuple(where[w] for w in wires))
+                     for op, wires in self.steps)
 
     def embed(self, amps: np.ndarray) -> np.ndarray:
         """Lay a ``(2**len(input_wires), k)`` block of logical inputs on the input
@@ -174,43 +162,38 @@ class _Chain:
         """Every branch of the chain on its canonical register for a block of
         logical inputs, as ``_run_chain`` returns them."""
         steps = self.bind(read, {w: w for w in self.wires})
-        return _run_chain(self.embed(amps), len(self.wires), steps,
-                          (self.consumed, self.eigvec_step))
+        return _run_chain(self.embed(amps), len(self.wires), steps, self.consumed)
 
 
-def _resolve(gate, read: dict) -> np.ndarray:
-    return read[gate] if isinstance(gate, str) else gate
-
-
-def _m(obs, *wires: int) -> MeasureStep:
-    return MeasureStep(obs, wires)
+def _resolve(op, read: dict):
+    return read[op] if isinstance(op, str) else op
 
 
 # Canonical registers: input 0 and ancilla 1, or control 0, ancilla 1 and
 # target 2 for the cnot.  In a transfer the joint word always pairs the
 # opening letter on the source with the closing letter on the ancilla.
-_SWITCH = GateStep("hadamard", (0,))
+_SWITCH = ("hadamard", (0,))
 _IDENTITY_VARIANTS = ("h", "zz", "xx")
 _IDENTITY = "identity transfer variant {!r} moves the state unchanged"
 _CHAINS = {
-    "transfer": _Chain((_m(OBS_X, 1), _m(_XZ, 0, 1), _m(OBS_X_PRIME, 0)), "hadamard",
+    "transfer": _Chain(((OBS_X, (1,)), (_XZ, (0, 1)), (OBS_X_PRIME, (0,))), "hadamard",
                        "transfer realizes byproduct times basis switch on every branch"),
-    "transfer_swapped": _Chain((_m(OBS_X_PRIME, 1), _m(_ZX, 0, 1), _m(OBS_X, 0)), "hadamard",
+    "transfer_swapped": _Chain(((OBS_X_PRIME, (1,)), (_ZX, (0, 1)), (OBS_X, (0,))), "hadamard",
                                "letter-swapped transfer realizes the same tactic"),
-    "identity_h": _Chain((_SWITCH, _m(OBS_X, 1), _m(_XZ, 0, 1), _m(OBS_X_PRIME, 0)), I2,
+    "identity_h": _Chain((_SWITCH, (OBS_X, (1,)), (_XZ, (0, 1)), (OBS_X_PRIME, (0,))), I2,
                          _IDENTITY.format("h")),
-    "identity_zz": _Chain((_m(OBS_X, 1), _m(_ZZ, 0, 1), _m(OBS_X, 0)), I2,
+    "identity_zz": _Chain(((OBS_X, (1,)), (_ZZ, (0, 1)), (OBS_X, (0,))), I2,
                           _IDENTITY.format("zz")),
-    "identity_xx": _Chain((_m(OBS_X_PRIME, 1), _m(_XX, 0, 1), _m(OBS_X_PRIME, 0)), I2,
+    "identity_xx": _Chain(((OBS_X_PRIME, (1,)), (_XX, (0, 1)), (OBS_X_PRIME, (0,))), I2,
                           _IDENTITY.format("xx")),
-    "sigma_t": _Chain((_m(OBS_X, 1), _m(_ZZ, 0, 1), _m(OBS_X_MINUS_SECOND, 0)), "phase_t",
+    "sigma_t": _Chain(((OBS_X, (1,)), (_ZZ, (0, 1)), (OBS_X_MINUS_SECOND, (0,))), "phase_t",
                       "phase transfer realizes byproduct times the eighth turn"),
-    "sigma_t_conj": _Chain((_SWITCH, _m(OBS_X, 1), _m(_XZ, 0, 1), _m(OBS_DIAG, 0)), "phase_t",
+    "sigma_t_conj": _Chain((_SWITCH, (OBS_X, (1,)), (_XZ, (0, 1)), (OBS_DIAG, (0,))), "phase_t",
                            "conjugated phase transfer realizes the same gate"),
     "cnot": _Chain(
-        (_m(OBS_X, 1), _m(_ZX, 1, 2), _m(_ZX, 0, 1), _m(OBS_X_PRIME, 1)), CNOT,
+        ((OBS_X, (1,)), (_ZX, (1, 2)), (_ZX, (0, 1)), (OBS_X_PRIME, (1,))), CNOT,
         "measurement chain realizes the plain controlled flip up to byproducts",
-        wires=(0, 2, 1), input_wires=(0, 2), consumed=1, eigvec_step=3),
+        wires=(0, 2, 1), input_wires=(0, 2), consumed=1),
 }
 
 
@@ -244,11 +227,11 @@ def _byproduct_table(name: str, gate_bytes: tuple[bytes, ...]) -> dict:
     Keyed by the bytes of every gate the chain reads, so it never serves
     another gate set; the maps are shared, so they are read-only."""
     chain = _CHAINS[name]
-    read = {f: np.frombuffer(raw, dtype=complex) for f, raw in zip(chain.reads, gate_bytes)}
-    read = {f: flat.reshape(math.isqrt(flat.size), -1) for f, flat in read.items()}
+    read = {f: np.frombuffer(raw, dtype=complex).reshape(2, 2)
+            for f, raw in zip(chain.reads, gate_bytes)}
     target = _resolve(chain.target, read)
     target_inv = _inverse(target, f"the target of chain {name!r}")
-    branches = sorted(_branch_maps(chain, read).items(), key=lambda kv: [-s for s in kv[0]])
+    branches = _branch_maps(chain, read).items()
     # A gate that kills every branch leaves an empty stack and an empty table.
     matches = match_pauli_word(np.reshape([mat @ target_inv for _, mat in branches],
                                           (-1, *target.shape)), atol=1e-9)
@@ -295,10 +278,10 @@ def _run_public(state: QState, caller_wires: tuple, name: str, gates: GateSet) -
     table = _byproducts(name, gates)
     where = dict(zip(chain.wires, caller_wires))
     steps = chain.bind(vars(gates), where)
-    labels = [s.obs.label for s in steps if isinstance(s, MeasureStep)]
+    labels = [op.label for op, _ in steps if isinstance(op, Observable)]
     return _branches(state, steps, lambda signs, prob, psi: TransferOutcome(
         tuple(zip(labels, signs)), prob, psi, table[signs].tag, table[signs].branch_map),
-        (where[chain.consumed], chain.eigvec_step))
+        where[chain.consumed])
 
 
 def state_transfer_sigma_h(state: QState, src: int, anc: int, *, swapped: bool = False,
@@ -351,33 +334,21 @@ def mbqc_cnot(state: QState, control: int, target: int, anc: int):
     return _run_public(state, (control, target, anc), "cnot", DEFAULT_GATES)
 
 
-@dataclass(frozen=True)
-class ImplicitReadout:
-    """Readout realized by correlation with an ancilla instead of directly."""
-
-    outcomes: tuple[tuple[str, int], ...]
-    derived_sign: int
-    probability: float
-    state: QState
-
-
 def implicit_readout(state: QState, wire: int, anc: int):
     """Readout of a wire inferred from a flip measurement pair.
 
     Measures the flip word on a fresh ancilla, then the joint flip/readout
-    word on (ancilla, wire); the product of the two signs reproduces the
-    readout law and post-states exactly, and the ancilla comes off clean.
+    word on (ancilla, wire); the product of the two outcome signs reproduces
+    the readout law and post-states exactly, and the ancilla comes off clean.
+    Each branch is a :class:`~qgame.measure.Branch` on the remaining wires.
     """
     _validate_fresh(state, anc)
-    return _branches(state, _implicit_steps(wire, anc),
-                     lambda signs, prob, psi: ImplicitReadout(
-                         outcomes=tuple(zip((OBS_X.label, _XZ.label), signs)),
-                         derived_sign=signs[0] * signs[1], probability=prob, state=psi),
-                     (anc, 0))
+    return _branches(state, _implicit_steps(wire, anc), lambda signs, prob, psi: Branch(
+        tuple(zip((OBS_X.label, _XZ.label), signs)), prob, psi), anc)
 
 
 def _implicit_steps(wire: int, anc: int) -> tuple:
-    return _m(OBS_X, anc), _m(_XZ, anc, wire)
+    return (OBS_X, (anc,)), (_XZ, (anc, wire))
 
 
 def measure_composite(state: QState, pair: tuple[int, int], kind: str, *,
@@ -396,8 +367,8 @@ def measure_composite(state: QState, pair: tuple[int, int], kind: str, *,
 
 
 def _composite_steps(pair: tuple[int, int], kind: str, gates: GateSet) -> tuple:
-    link = GateStep(_finite_gate(gates, "hadamard"), (pair[1] if kind == "xx" else pair[0],))
-    return link, MeasureStep(_XZ, tuple(pair)), link
+    link = (_finite_gate(gates, "hadamard"), (pair[1] if kind == "xx" else pair[0],))
+    return link, (_XZ, tuple(pair)), link
 
 
 def transfer_byproduct_distribution() -> dict[str, float]:
@@ -450,7 +421,7 @@ def _chain_deviation(name: str, gates: GateSet) -> float:
 def _implicit_deviation() -> float:
     """Largest gap between each derived sign's effect sum M^dag M and the
     direct readout projector."""
-    paths = _run_chain(np.kron(np.eye(2), [[1.0], [0.0]]), 2, _implicit_steps(0, 1), (1, 0))
+    paths = _run_chain(np.kron(np.eye(2), [[1.0], [0.0]]), 2, _implicit_steps(0, 1), 1)
     effect = {+1: np.zeros((2, 2), dtype=complex), -1: np.zeros((2, 2), dtype=complex)}
     for signs, _, v in paths:
         effect[signs[0] * signs[1]] += v.conj().T @ v

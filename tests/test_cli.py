@@ -647,8 +647,9 @@ def test_the_benchmark_tracer_keeps_every_run_unchanged():
 
 
 def test_cli_import_loads_no_scipy():
-    # Nor subprocess, which only the CSV writer of a float table imports.
-    probe = ("import qgame.cli, sys; print(any(m in ('scipy', 'subprocess') or "
+    # Nor subprocess, which only the CSV writer of a float table imports, nor
+    # numpy.random, which only the commands that draw import.
+    probe = ("import qgame.cli, sys; print(any(m in ('scipy', 'subprocess', 'numpy.random') or "
              "m.startswith('scipy.') for m in sys.modules))")
     result = subprocess.run([sys.executable, "-c", probe], env=_env_with_src(),
                             capture_output=True, text=True, check=True)

@@ -88,9 +88,10 @@ _ONE_QUBIT = [pytest.param(obs, id=obs.label)
 def test_named_observables_are_involutions_with_clean_projectors(obs):
     eye = np.eye(2)
     assert np.allclose(obs.matrix @ obs.matrix, eye, atol=ATOL)
-    assert np.allclose(obs.proj_plus @ obs.proj_plus, obs.proj_plus, atol=ATOL)
-    assert np.allclose(obs.proj_plus @ obs.proj_minus, 0.0, atol=ATOL)
-    assert np.allclose(obs.proj_plus + obs.proj_minus, eye, atol=ATOL)
+    plus, minus = obs.projectors
+    assert np.allclose(plus @ plus, plus, atol=ATOL)
+    assert np.allclose(plus @ minus, 0.0, atol=ATOL)
+    assert np.allclose(plus + minus, eye, atol=ATOL)
 
 
 @pytest.mark.parametrize("obs", _ONE_QUBIT)

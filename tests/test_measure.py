@@ -204,6 +204,12 @@ def test_apply_gate_rejects_non_unitary_matrices():
         apply_gate(state, np.array([[1, 0], [0, 0.5]]), [0])
 
 
+@pytest.mark.parametrize("gate", [1.0, [1.0, 0.0]], ids=["0-d", "1-d"])
+def test_apply_gate_refuses_an_operator_of_the_wrong_rank(gate):
+    with pytest.raises(ValidationError, match="not a k-qubit operator"):
+        apply_gate(QState.basis(1, 0), gate, [0])
+
+
 def test_interface_split_at_a_third_of_the_way():
     # One-dimensional pointer: rho = |0><0|, generator the readout observable,
     # coupling angle pi/3.  cos^2(pi/3) = 1/4 on the yes branch.

@@ -76,6 +76,13 @@ def test_match_pauli_word_refuses_non_pauli_matrices():
     assert match_pauli_word(np.diag([1.0, 0.5])) is None
 
 
+@pytest.mark.parametrize("mat", [1.0, [1.0, 0.0], np.zeros((2, 2, 2, 2))],
+                         ids=["0-d", "1-d", "4-d"])
+def test_match_pauli_word_refuses_an_operator_of_the_wrong_rank(mat):
+    with pytest.raises(ValidationError, match="not a qubit operator"):
+        match_pauli_word(mat)
+
+
 def test_tag_from_scalar_reads_quarter_turns():
     tag, mag = tag_from_scalar(("X",), -2j)
     assert tag == PauliTag(("X",), 3)

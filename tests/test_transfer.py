@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 
 from qgame import ValidationError, transfer
 from qgame.config import ATOL_CIRCUIT
-from qgame.gates import CNOT, DEFAULT_GATES, OBS_X, OBS_X_PRIME, GateSet, H, T
-from qgame.measure import measure
+from qgame.gates import CNOT, DEFAULT_GATES, OBS_X, OBS_X_PRIME, GateSet, H, Observable, T
+from qgame.measure import Branch, measure, partial_inner
 from qgame.pauli import PauliTag, match_pauli_word, tag_from_scalar
 from qgame.states import QState, equal_up_to_global_phase, fidelity
 from qgame.transfer import (
-    ImplicitReadout,
     implicit_readout,
     mbqc_cnot,
     measure_composite,
@@ -39,12 +38,19 @@ def _block(states) -> np.ndarray:
     return np.stack([psi.amplitudes for psi in states], axis=1)
 
 
+def _derived_sign(branch) -> int:
+    """The readout sign an implicit readout branch reports: the product of
+    its two outcome signs."""
+    (_, first), (_, second) = branch.outcomes
+    return first * second
+
+
 def _implicit_law(register: QState) -> dict[int, float]:
     """Outcome law of the implicit readout of wire 0 through ancilla 1, keyed
     by the derived sign."""
     law = {+1: 0.0, -1: 0.0}
     for res in implicit_readout(register, 0, 1):
-        law[res.derived_sign] += res.probability
+        law[_derived_sign(res)] += res.probability
     return law
 
 
@@ -214,8 +220,8 @@ def test_implicit_readout_posts_equal_direct_projections():
     reg = _with_fresh_ancilla(psi)
     direct = {b.outcomes[0][1]: b.state for b in measure(psi, OBS_X_PRIME, [0])}
     for res in implicit_readout(reg, 0, 1):
-        assert isinstance(res, ImplicitReadout)
-        ok, _ = equal_up_to_global_phase(res.state, direct[res.derived_sign])
+        assert isinstance(res, Branch)
+        ok, _ = equal_up_to_global_phase(res.state, direct[_derived_sign(res)])
         assert ok
 
 
@@ -579,13 +585,13 @@ class TestBatchedReplay:
 
     def test_a_column_pruned_in_a_kept_branch_is_zero_there(self):
         block = np.array([[1, 0, 1], [0, 1, 1]], dtype=complex) / [1, 1, np.sqrt(2)]
-        paths = transfer._run_chain(block, 1, (transfer._m(OBS_X_PRIME, 0),))
+        paths = transfer._run_chain(block, 1, ((OBS_X_PRIME, (0,)),))
         assert [signs for signs, _, _ in paths] == [(1,), (-1,)]
         (_, plus, v_plus), (_, minus, v_minus) = paths
         assert plus.tolist() == [1.0, 0.0, pytest.approx(0.5)]
         assert minus.tolist() == [0.0, 1.0, pytest.approx(0.5)]
         assert not v_plus[:, 1].any() and not v_minus[:, 0].any()
-        paths = transfer._run_chain(block[:, :1], 1, (transfer._m(OBS_X_PRIME, 0),))
+        paths = transfer._run_chain(block[:, :1], 1, ((OBS_X_PRIME, (0,)),))
         assert [signs for signs, _, _ in paths] == [(1,)]
 
     def test_lowest_entangled_column_is_the_fault(self):
@@ -595,15 +601,15 @@ class TestBatchedReplay:
         zero, plus, one = np.eye(2)[0], np.array([1, 1]) / np.sqrt(2), np.eye(2)[1]
         block = np.stack([np.kron(c, zero) for c in (zero, plus, zero, one)], axis=1)
         block = block.astype(complex)
-        steps = (transfer._m(OBS_X_PRIME, 1), transfer.GateStep(CNOT, (0, 1)))
+        steps = ((OBS_X_PRIME, (1,)), (CNOT, (0, 1)))
         messages = []
         for cols in ([1], [3], slice(None)):
             with pytest.raises(ValidationError, match="still entangled") as refused:
-                transfer._run_chain(block[:, cols], 2, steps, (1, 0))
+                transfer._run_chain(block[:, cols], 2, steps, 1)
             messages.append(str(refused.value))
         assert messages[2] == messages[0] != messages[1]
         with pytest.raises(ValidationError, match="still entangled"):
-            transfer._branches(QState(block[:, 1]), steps, lambda *branch: branch, (1, 0))
+            transfer._branches(QState(block[:, 1]), steps, lambda *branch: branch, 1)
 
     @pytest.mark.parametrize("gates", [GateSet(), _PHASE_OFF, _TILTED],
                              ids=["clean", "phase", "tilted"])
@@ -717,13 +723,13 @@ class TestBatchedReplay:
         steps = chain.bind(vars(GateSet()), {w: w for w in chain.wires})
         if fresh:
             block = chain.embed(_block(_inputs(chain, rng, k)))
-            consumed = (chain.consumed, chain.eigvec_step)
+            consumed = chain.consumed
         else:
             tilted = QState(QState.basis(n, 0).amplitudes + 1e-8)
             block = _block([random_state(n, rng) for _ in range(k)] + [tilted])
-            measured = [s for s in steps if isinstance(s, transfer.MeasureStep)]
-            j = int(rng.choice([j for j, s in enumerate(measured) if len(s.wires) == 1]))
-            consumed = (int(rng.choice(chain.wires)), j)
+            alone = {wires[0] for op, wires in steps
+                     if isinstance(op, Observable) and len(wires) == 1}
+            consumed = int(rng.choice(sorted(alone)))
         block = block[:, rng.permutation(block.shape[1])]
         stacked, refusal = _run_or_refusal(block, n, steps, consumed)
         refusals = [_run_or_refusal(block[:, [j]], n, steps, consumed)[1]
@@ -741,3 +747,49 @@ class TestBatchedReplay:
                 assert mass.tobytes() == single_mass[0].tobytes()
                 assert v.tobytes() == single_v[:, 0].tobytes()
             assert not any(v[:, j].any() for _, mass, v in stacked if not mass[j] > 0)
+
+    @pytest.mark.parametrize("gates", [GateSet(), GateSet(hadamard=H * np.exp(0.3j))],
+                             ids=["clean", "phase"])
+    @pytest.mark.parametrize("name", sorted(transfer._CHAINS))
+    def test_byproduct_tables_list_plus_before_minus_at_every_fork(self, name, gates):
+        # The tables take the runner's branch order as it comes, so that order
+        # must already be the +1-first order the ledger sums in.
+        keys = list(transfer._byproducts(name, gates))
+        assert len(keys) > 1
+        assert keys == sorted(keys, key=lambda signs: [-s for s in signs])
+
+    # Per chain, the measurement whose eigenvectors drop its consumed wire,
+    # counted among measurements only.
+    _DISCARD_INDEX = {"transfer": 2, "transfer_swapped": 2, "identity_h": 2, "identity_zz": 2,
+                      "identity_xx": 2, "sigma_t": 2, "sigma_t_conj": 2, "cnot": 3,
+                      "implicit": 0}
+
+    @pytest.mark.parametrize("name", sorted(_DISCARD_INDEX))
+    def test_discarding_by_wire_drops_through_the_indexed_measurement(self, name):
+        rng = np.random.default_rng(31)
+        if name == "implicit":
+            n, consumed, steps = 2, 1, transfer._implicit_steps(0, 1)
+            inputs = [random_state(1, rng) for _ in range(4)]
+            inputs += [QState.basis(1, m) for m in (0, 1)]
+            block = np.kron(_block(inputs), [[1.0], [0.0]])
+        else:
+            chain = transfer._CHAINS[name]
+            n, consumed = len(chain.wires), chain.consumed
+            steps = chain.bind(vars(GateSet()), {w: w for w in chain.wires})
+            block = chain.embed(_block(_inputs(chain, rng, 4)))
+        j = self._DISCARD_INDEX[name]
+        obs = [op for op, _ in steps if isinstance(op, Observable)][j]
+        kept = transfer._run_chain(block, n, steps)
+        dropped = transfer._run_chain(block, n, steps, consumed)
+        signs = [s for s, _, _ in kept]
+        assert [s for s, _, _ in dropped] == signs
+        # The discard as the index named it: both eigenvectors in one call,
+        # each column taking the one its j-th outcome selects.
+        amps = np.stack([v for _, _, v in kept], axis=1).reshape(block.shape[0], -1)
+        both = partial_inner(amps, np.stack([obs.eigenvector(+1), obs.eigenvector(-1)]),
+                             consumed, n)
+        want = np.where(np.repeat([s[j] for s in signs], block.shape[1]) == +1, both[0], both[1])
+        got = np.stack([v for _, _, v in dropped], axis=1).reshape(want.shape)
+        assert got.tobytes() == want.tobytes()
+        for (_, mass, _), (_, dropped_mass, _) in zip(kept, dropped):
+            assert mass.tobytes() == dropped_mass.tobytes()
